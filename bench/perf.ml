@@ -323,8 +323,8 @@ let run_app (app : Apps.Registry.app) ~wanted =
     a_events = outcome.Mpisim.Engine.events;
     a_events_per_s =
       float_of_int outcome.Mpisim.Engine.events /. Float.max trace_s 1e-9;
-    input_rsds = report.Benchgen.input_rsds;
-    final_rsds = report.Benchgen.final_rsds;
+    input_rsds = report.Benchgen.Pipeline.input_rsds;
+    final_rsds = report.Benchgen.Pipeline.final_rsds;
   }
 
 (* ------------------------------------------------------------------ *)

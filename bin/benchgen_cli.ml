@@ -32,13 +32,13 @@ let fail code msg =
   exit code
 
 let code_of_gen_error = function
-  | Benchgen.E_potential_deadlock _ -> exit_potential_deadlock
-  | Benchgen.E_align _ -> exit_align
-  | Benchgen.E_wildcard _ -> exit_mpi
-  | Benchgen.E_trace_format _ -> exit_trace_format
-  | Benchgen.E_io _ -> exit_io
-  | Benchgen.E_codegen _ -> exit_codegen
-  | Benchgen.E_unrecoverable_trace _ -> exit_unrecoverable
+  | Pipeline.E_potential_deadlock _ -> exit_potential_deadlock
+  | Pipeline.E_align _ -> exit_align
+  | Pipeline.E_wildcard _ -> exit_mpi
+  | Pipeline.E_trace_format _ -> exit_trace_format
+  | Pipeline.E_io _ -> exit_io
+  | Pipeline.E_codegen _ -> exit_codegen
+  | Pipeline.E_unrecoverable_trace _ -> exit_unrecoverable
 
 let guarded f =
   try f () with
@@ -64,7 +64,7 @@ let guarded f =
 
 let warn_all warnings =
   List.iter
-    (fun w -> Printf.eprintf "benchgen: warning: %s\n%!" (Benchgen.warning_to_string w))
+    (fun w -> Printf.eprintf "benchgen: warning: %s\n%!" (Pipeline.warning_to_string w))
     warnings
 
 (* ------------------------------------------------------------------ *)
@@ -390,7 +390,7 @@ let generate_from_trace_cmd =
     match
       Pipeline.run { Pipeline.default with recovery } (Pipeline.From_file file)
     with
-    | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+    | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
     | Ok (artifact, warnings) -> (
         warn_all warnings;
         let report = artifact.Pipeline.report in
@@ -502,7 +502,7 @@ let generate_cmd =
     match
       Pipeline.run cfg (Pipeline.From_app { nranks; app = app.program ~cls () })
     with
-    | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+    | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
     | Ok (artifact, warnings) ->
         warn_all warnings;
         let report = artifact.Pipeline.report in
@@ -674,7 +674,7 @@ let compare_cmd =
         Pipeline.run cfg
           (Pipeline.From_app { nranks; app = app.program ~cls () })
       with
-      | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+      | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
       | Ok v -> v
     in
     warn_all warnings;
@@ -762,7 +762,7 @@ let extrapolate_cmd =
         in
         let report =
           match Pipeline.run cfg (Pipeline.From_trace trace) with
-          | Error e -> fail (code_of_gen_error e) (Benchgen.error_to_string e)
+          | Error e -> fail (code_of_gen_error e) (Pipeline.error_to_string e)
           | Ok (artifact, warnings) ->
               warn_all warnings;
               artifact.Pipeline.report
@@ -866,10 +866,11 @@ let fuzz_cmd =
              participant sets), $(b,corruption) (seeded damage to framed \
              trace files, checking that every outcome is typed and that \
              best-effort recovery still yields replayable benchmarks), \
-             $(b,serve) (seeded scenarios of clean/corrupt/hanging/crashing/\
-             oversized jobs against the serve-mode supervisor, checking typed \
-             responses only, no lost jobs, bounded queue, clean drain, and \
-             same-seed byte-identical transcripts), or $(b,coll) (every \
+             $(b,serve) (seeded scenarios of clean/flaky/fatal/hanging/\
+             crashing/poison jobs against the serve scheduler, a simulated \
+             worker pool on virtual time, checking typed responses only, no \
+             lost jobs, bounded queue, clean drain, and same-seed \
+             byte-identical transcripts), or $(b,coll) (every \
              collective algorithm schedule vs the monolithic reference: the \
              whole app registry plus seeded random programs, checking \
              identical communication and exactly one completion event per \
@@ -883,8 +884,8 @@ let fuzz_cmd =
             "Serve mode only: scenarios drive a simulated worker pool of \
              $(docv) persistent workers (crashing/hanging jobs across \
              workers, worker-kill injection, restart backoff, breaker trips, \
-             poison-job quarantine).  1 (the default) keeps the single-worker \
-             supervisor scenarios.")
+             poison-job quarantine).  1 (the default) matches \
+             $(b,benchgen serve)'s default pool.")
   in
   let parse_defect s =
     match Pipeline.defect_of_string s with
@@ -1027,7 +1028,7 @@ let fuzz_cmd =
 
 let serve_cmd =
   let doc =
-    "Long-lived supervised service: accept many trace$(mu)benchmark jobs over \
+    "Long-lived supervised service: accept many trace-to-benchmark jobs over \
      a line-delimited JSON protocol."
   in
   let man =
@@ -1040,11 +1041,12 @@ let serve_cmd =
          ($(b,{\"op\":\"submit\",\"id\":...,\"trace\":PATH})  or \
          $(b,{...,\"app\":NAME,\"nranks\":N,\"cls\":C})) enter a bounded \
          FIFO queue; beyond $(b,--queue-depth) they are shed with a typed \
-         $(b,rejected (queue_full)) response.  Each job runs the pipeline in \
-         a forked, deadline-killable worker under a supervision policy: a \
+         $(b,rejected (queue_full)) response.  Each job runs the pipeline on \
+         a pool of persistent forked workers ($(b,--workers), default 1), \
+         deadline-killable, under a supervision policy: a \
          per-attempt wall-clock deadline, bounded retries with exponential \
          backoff and seeded jitter, and recovery escalation \
-         (strict $(mu) salvage $(mu) best-effort) so a job whose strict \
+         (strict, then salvage, then best-effort) so a job whose strict \
          generation fails degrades gracefully instead of failing hard.  One \
          poisoned job — crash, hang, heap corruption — can never take down \
          the server.";

@@ -31,7 +31,7 @@ let () =
   Printf.printf "%-12s %-22s %-22s\n" "" "1-D ring decomposition" "2-D grid decomposition";
   List.iter
     (fun (mname, net) ->
-      let run (r : Benchgen.report) =
+      let run (r : P.report) =
         (Conceptual.Lower.run ~net ~nranks r.program).outcome.elapsed
       in
       Printf.printf "%-12s %-22s %-22s\n" mname

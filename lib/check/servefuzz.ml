@@ -1,6 +1,6 @@
 module P = Serve.Protocol
-module Sup = Serve.Supervisor
 module Policy = Serve.Policy
+module Pool = Serve.Pool
 
 type config = {
   seed_start : int;
@@ -20,17 +20,17 @@ type summary = {
   metrics : Obs.Metrics.t;
 }
 
-(* The job kinds the synthetic runner can play — the serve analogue of
-   the pipeline defect seam.  [Oversized] and [Garbage] never reach the
-   runner: they exercise the protocol's admission path. *)
+(* The job kinds a scripted worker can play — the serve analogue of the
+   pipeline defect seam.  Crashes are *process deaths* of the worker;
+   the pool must restart the slot and either retry the job or
+   quarantine it as poisoned. *)
 type kind =
   | K_clean
-  | K_flaky  (** fails below [`Best_effort], succeeds there *)
-  | K_fatal  (** fails at every recovery level *)
-  | K_hang  (** consumes its whole deadline; killed every attempt *)
-  | K_crash  (** raises into the supervisor *)
-  | K_oversized
-  | K_garbage
+  | K_flaky
+  | K_fatal
+  | K_hang  (** never answers; freed only by the deadline kill *)
+  | K_crash_once  (** kills its first worker, then succeeds *)
+  | K_poison  (** kills every worker it touches *)
 
 let draw_kind rng =
   match Util.Rng.int rng 10 with
@@ -38,259 +38,10 @@ let draw_kind rng =
   | 4 | 5 -> K_flaky
   | 6 -> K_fatal
   | 7 -> K_hang
-  | 8 -> ( match Util.Rng.int rng 2 with 0 -> K_crash | _ -> K_oversized)
-  | _ -> K_garbage
+  | 8 -> K_crash_once
+  | _ -> K_poison
 
-let ok_info ~statements =
-  {
-    P.ok_statements = statements;
-    ok_final_rsds = statements / 2;
-    ok_recovery = "strict";
-    ok_warnings = [];
-    ok_text = None;
-    ok_out = None;
-  }
-
-(* One scenario: returns (transcript, per-check violations, submissions). *)
-let scenario ~seed =
-  let rng = Util.Rng.create ~seed in
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let queue_limit = 2 + Util.Rng.int rng 4 in
-  let max_request_bytes = 512 in
-  let policy =
-    {
-      Policy.default with
-      deadline_s = Some 1.0;
-      max_retries = Util.Rng.int rng 3;
-      backoff_base_s = 0.01;
-      backoff_max_s = 0.5;
-      jitter = 0.3;
-    }
-  in
-  let clock = Sup.sim_clock () in
-  let jobs : (string, kind * float) Hashtbl.t = Hashtbl.create 32 in
-  let runner (sub : P.submit) ~recovery ~deadline_s =
-    let kind, dur =
-      try Hashtbl.find jobs sub.P.sub_id
-      with Not_found -> (K_clean, 0.01)
-    in
-    match kind with
-    | K_clean ->
-        clock.Sup.sleep dur;
-        Sup.A_ok (ok_info ~statements:(4 + int_of_float (dur *. 100.)))
-    | K_flaky ->
-        clock.Sup.sleep dur;
-        if recovery = `Best_effort then
-          Sup.A_ok (ok_info ~statements:3)
-        else
-          Sup.A_error
-            {
-              P.e_tag = "unrecoverable_trace";
-              e_path = Some (sub.P.sub_id ^ ".trace");
-              e_retryable = true;
-              e_detail = "synthetic: damaged trace, needs best-effort recovery";
-            }
-    | K_fatal ->
-        clock.Sup.sleep dur;
-        Sup.A_error
-          {
-            P.e_tag = "trace_format";
-            e_path = Some (sub.P.sub_id ^ ".trace");
-            e_retryable = true;
-            e_detail = "synthetic: unparseable at every recovery level";
-          }
-    | K_hang ->
-        (match deadline_s with
-        | Some d ->
-            clock.Sup.sleep d;
-            Sup.A_timeout
-        | None ->
-            clock.Sup.sleep dur;
-            Sup.A_ok (ok_info ~statements:1))
-    | K_crash -> failwith "synthetic worker heap corruption"
-    | K_oversized | K_garbage -> assert false
-  in
-  let sup =
-    Sup.create ~queue_limit ~seed ~runner ~clock ()
-  in
-  let transcript = Buffer.create 4096 in
-  let responses = ref [] in
-  let record (r : P.response) =
-    responses := r :: !responses;
-    Buffer.add_string transcript (P.response_to_line r);
-    Buffer.add_char transcript '\n';
-    (* typed-responses-only: every line must round-trip *)
-    (match P.response_of_line (P.response_to_line r) with
-    | r' ->
-        if r' <> r then violate "response does not round-trip: %s" (P.response_to_line r)
-    | exception Obs.Json.Parse_error msg ->
-        violate "unparseable response (%s): %s" msg (P.response_to_line r))
-  in
-  let check_bound where =
-    if Sup.queue_length sup > queue_limit then
-      violate "queue depth %d exceeds limit %d (%s)" (Sup.queue_length sup)
-        queue_limit where
-  in
-  let n_jobs = 8 + Util.Rng.int rng 13 in
-  let submitted = ref 0 in
-  let next_id () =
-    incr submitted;
-    Printf.sprintf "s%d-j%d" seed !submitted
-  in
-  let submit_one () =
-    let kind = draw_kind rng in
-    match kind with
-    | K_oversized ->
-        (* a request line longer than the configured cap; the body never
-           gets parsed *)
-        let line =
-          Printf.sprintf "{\"op\":\"submit\",\"id\":\"big\",\"pad\":\"%s\"}"
-            (String.make (max_request_bytes + 64) 'x')
-        in
-        (match
-           P.parse_request ~default_policy:policy ~max_bytes:max_request_bytes
-             line
-         with
-        | Error (id, reason) -> record (Sup.reject sup ?id reason)
-        | Ok _ -> violate "oversized line was not rejected")
-    | K_garbage ->
-        (match
-           P.parse_request ~default_policy:policy ~max_bytes:max_request_bytes
-             "this is not json"
-         with
-        | Error (id, reason) -> record (Sup.reject sup ?id reason)
-        | Ok _ -> violate "garbage line was not rejected")
-    | _ ->
-        let id = next_id () in
-        let dur = 0.01 +. (Util.Rng.float rng *. 0.2) in
-        Hashtbl.replace jobs id (kind, dur);
-        let sub =
-          {
-            P.sub_id = id;
-            sub_source = P.J_file (id ^ ".trace");
-            sub_policy = policy;
-            sub_out = None;
-            sub_emit_text = false;
-          }
-        in
-        (match Sup.submit sup sub with
-        | P.Accepted { queue_depth; _ } as r ->
-            if queue_depth > queue_limit then
-              violate "accepted %s with queue_depth %d > limit %d" id
-                queue_depth queue_limit;
-            record r
-        | r -> record r)
-  in
-  let remaining () = !submitted < n_jobs in
-  (* the interleaving: submissions in bursts, executions, health probes *)
-  let rec drive () =
-    if remaining () || Sup.queue_length sup > 0 then begin
-      (match Util.Rng.int rng 10 with
-      | (0 | 1 | 2 | 3 | 4) when remaining () ->
-          let burst = 1 + Util.Rng.int rng 3 in
-          for _ = 1 to burst do
-            if remaining () then submit_one ()
-          done
-      | 5 | 6 | 7 -> (
-          match Sup.run_next sup with Some r -> record r | None -> ())
-      | 8 -> record (Sup.health sup)
-      | _ -> (
-          if remaining () then submit_one ()
-          else
-            match Sup.run_next sup with Some r -> record r | None -> ()));
-      check_bound "drive";
-      drive ()
-    end
-  in
-  (try drive ()
-   with exn ->
-     violate "supervisor raised during scenario: %s" (Printexc.to_string exn));
-  (* final submissions rejected while draining are part of the contract *)
-  let tail_responses =
-    try
-      if Util.Rng.int rng 4 = 0 then Sup.shutdown sup else Sup.drain sup
-    with exn ->
-      violate "supervisor raised during drain: %s" (Printexc.to_string exn);
-      []
-  in
-  List.iter record tail_responses;
-  check_bound "after drain";
-  if Sup.queue_length sup <> 0 then
-    violate "queue not empty after drain: %d" (Sup.queue_length sup);
-  (* --- transcript-level contract ------------------------------------ *)
-  let responses = List.rev !responses in
-  let accepted = Hashtbl.create 32 and terminal = Hashtbl.create 32 in
-  let rejected_ids = Hashtbl.create 8 in
-  let results = ref 0 and cancelled = ref 0 and drained = ref None in
-  List.iter
-    (fun (r : P.response) ->
-      match r with
-      | P.Accepted { id; _ } -> Hashtbl.replace accepted id ()
-      | P.Rejected { id = Some id; _ } -> Hashtbl.replace rejected_ids id ()
-      | P.Rejected { id = None; _ } -> ()
-      | P.Result_ok { id; _ } | P.Result_error { id; _ } ->
-          incr results;
-          Hashtbl.replace terminal id (1 + Option.value ~default:0 (Hashtbl.find_opt terminal id))
-      | P.Cancelled { id } ->
-          incr cancelled;
-          Hashtbl.replace terminal id (1 + Option.value ~default:0 (Hashtbl.find_opt terminal id))
-      | P.Health_report _ -> ()
-      | P.Drained { jobs_run; cancelled } ->
-          drained := Some (jobs_run, cancelled))
-    responses;
-  Hashtbl.iter
-    (fun id () ->
-      match Hashtbl.find_opt terminal id with
-      | Some 1 -> ()
-      | Some n -> violate "job %s got %d terminal responses" id n
-      | None -> violate "job %s was accepted but never resolved (lost)" id)
-    accepted;
-  Hashtbl.iter
-    (fun id () ->
-      if (not (Hashtbl.mem accepted id)) && Hashtbl.mem terminal id then
-        violate "job %s was rejected yet got a terminal response" id)
-    rejected_ids;
-  (match !drained with
-  | None -> violate "no drained summary emitted"
-  | Some (jobs_run, d_cancelled) ->
-      if jobs_run <> !results then
-        violate "drained.jobs_run=%d but %d results seen" jobs_run !results;
-      if d_cancelled <> !cancelled then
-        violate "drained.cancelled=%d but %d cancellations seen" d_cancelled
-          !cancelled);
-  (Buffer.contents transcript, List.rev !violations, !submitted,
-   Sup.metrics sup)
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent scenarios: a worker pool on virtual time                  *)
-
-module Pool = Serve.Pool
-
-(* Job kinds for the pool.  Crashes here are *process deaths* of the
-   scripted worker (the single-worker K_crash raised in-process); the
-   pool must restart the slot and either retry the job elsewhere or
-   quarantine it as poisoned. *)
-type ckind =
-  | C_clean
-  | C_flaky
-  | C_fatal
-  | C_hang  (** never answers; freed only by the deadline kill *)
-  | C_crash_once  (** kills its first worker, then succeeds *)
-  | C_poison  (** kills every worker it touches *)
-
-let draw_ckind rng =
-  match Util.Rng.int rng 10 with
-  | 0 | 1 | 2 | 3 -> C_clean
-  | 4 | 5 -> C_flaky
-  | 6 -> C_fatal
-  | 7 -> C_hang
-  | 8 -> C_crash_once
-  | _ -> C_poison
-
-let concurrent_scenario ~seed ~workers =
+let scenario ~seed ~workers =
   let rng = Util.Rng.create ~seed in
   let violations = ref [] in
   let violate fmt =
@@ -320,7 +71,7 @@ let concurrent_scenario ~seed ~workers =
     }
   in
   let pool = Pool.create ~queue_limit ~seed ~wpolicy () in
-  let jobs : (string, ckind * float) Hashtbl.t = Hashtbl.create 32 in
+  let jobs : (string, kind * float) Hashtbl.t = Hashtbl.create 32 in
   let n_jobs = 10 + Util.Rng.int rng 15 in
   let submitted = ref 0 in
   (* deterministic timeline of external inputs, built up front *)
@@ -329,7 +80,7 @@ let concurrent_scenario ~seed ~workers =
   let submit_one () =
     incr submitted;
     let id = Printf.sprintf "s%d-j%d" seed !submitted in
-    let kind = draw_ckind rng in
+    let kind = draw_kind rng in
     let dur = 0.01 +. (Util.Rng.float rng *. 0.2) in
     Hashtbl.replace jobs id (kind, dur);
     add
@@ -360,12 +111,12 @@ let concurrent_scenario ~seed ~workers =
   let timeline = List.rev !timeline in
   let script (sub : P.submit) ~attempt ~recovery =
     let kind, dur =
-      try Hashtbl.find jobs sub.P.sub_id with Not_found -> (C_clean, 0.01)
+      try Hashtbl.find jobs sub.P.sub_id with Not_found -> (K_clean, 0.01)
     in
     match kind with
-    | C_clean ->
+    | K_clean ->
         Pool.Sim.B_ok { dur; statements = 4 + int_of_float (dur *. 100.) }
-    | C_flaky ->
+    | K_flaky ->
         if recovery = `Best_effort then Pool.Sim.B_ok { dur; statements = 3 }
         else
           Pool.Sim.B_error
@@ -380,7 +131,7 @@ let concurrent_scenario ~seed ~workers =
                     "synthetic: damaged trace, needs best-effort recovery";
                 };
             }
-    | C_fatal ->
+    | K_fatal ->
         Pool.Sim.B_error
           {
             dur;
@@ -392,12 +143,12 @@ let concurrent_scenario ~seed ~workers =
                 e_detail = "synthetic: unparseable at every recovery level";
               };
           }
-    | C_hang -> Pool.Sim.B_hang
-    | C_crash_once ->
+    | K_hang -> Pool.Sim.B_hang
+    | K_crash_once ->
         if attempt = 0 then
           Pool.Sim.B_crash { dur; detail = "synthetic segfault (first attempt)" }
         else Pool.Sim.B_ok { dur; statements = 2 }
-    | C_poison -> Pool.Sim.B_crash { dur; detail = "synthetic poison pill" }
+    | K_poison -> Pool.Sim.B_crash { dur; detail = "synthetic poison pill" }
   in
   let outcomes =
     try Pool.Sim.run ~spawn_delay_s:0.005 ~pool ~script ~timeline ()
@@ -483,15 +234,8 @@ let concurrent_scenario ~seed ~workers =
     !submitted,
     Pool.metrics pool )
 
-let scenario_for cfg ~seed =
-  if cfg.workers <= 1 then scenario ~seed
-  else concurrent_scenario ~seed ~workers:cfg.workers
-
 let transcript ?(workers = 1) ~seed () =
-  let t, _, _, _ =
-    if workers <= 1 then scenario ~seed
-    else concurrent_scenario ~seed ~workers
-  in
+  let t, _, _, _ = scenario ~seed ~workers in
   t
 
 let run cfg =
@@ -500,7 +244,7 @@ let run cfg =
   let jobs = ref 0 in
   for i = 0 to cfg.seeds - 1 do
     let seed = cfg.seed_start + i in
-    let t1, vs, submitted, m = scenario_for cfg ~seed in
+    let t1, vs, submitted, m = scenario ~seed ~workers:cfg.workers in
     jobs := !jobs + submitted;
     Obs.Metrics.merge_into metrics m;
     List.iter
@@ -509,7 +253,7 @@ let run cfg =
         violations := { v_seed = seed; v_what = v } :: !violations)
       vs;
     (* same seed => byte-identical transcript *)
-    let t2, _, _, _ = scenario_for cfg ~seed in
+    let t2, _, _, _ = scenario ~seed ~workers:cfg.workers in
     if t1 <> t2 then begin
       cfg.log (Printf.sprintf "seed %d: VIOLATION: transcript not deterministic" seed);
       violations :=

@@ -1,29 +1,20 @@
-(** Seeded service fuzzer for the serve-mode supervisor and worker
-    pool ([benchgen fuzz --mode serve [--workers N]]).
+(** Seeded service fuzzer for the serve scheduler
+    ([benchgen fuzz --mode serve [--workers N]]).
 
-    With [workers = 1] each seed builds a deterministic single-worker
-    scenario: a supervisor on a virtual clock with a small random
-    queue bound and retry policy, a synthetic job runner (the serve
-    analogue of the pipeline [defect] seam) drawing jobs from six
-    kinds — clean, flaky (fails until recovery escalates to
-    best-effort), fatal (always fails), hanging (exceeds its deadline
-    and is killed), crashing (raises into the supervisor), and
-    oversized/garbage request lines — and a random interleaving of
-    submissions, job executions, health probes, and a final drain or
-    shutdown.
+    Each seed drives a {!Serve.Pool} with [N] worker slots (default 1,
+    as [benchgen serve] runs) through {!Serve.Pool.Sim} on virtual
+    time.  Jobs are drawn from six kinds — clean, flaky (fails until
+    recovery escalates to best-effort), fatal (always fails), hanging
+    (never answers; freed only by the deadline kill), crash-once (kills
+    its first worker, then succeeds on the retry) and poison (kills
+    every worker it touches and must be quarantined once it has crashed
+    two distinct workers) — interleaved with out-of-band worker-kill
+    injections, health probes, and a final drain or shutdown.  The
+    transcript is timestamped, so determinism also pins the virtual
+    schedule (dispatch order, retry and restart backoff, breaker
+    trips).
 
-    With [workers > 1] each seed drives a {!Serve.Pool} through
-    {!Serve.Pool.Sim} on virtual time: crashing and hanging jobs
-    interleaved across workers (including [C_crash_once], which kills
-    its first worker and then succeeds on the retry, and [C_poison],
-    which kills every worker it touches and must be quarantined),
-    out-of-band worker-kill injections, health probes, and a final
-    drain or shutdown.  The transcript is timestamped, so determinism
-    also pins the virtual schedule (dispatch order, restart backoff,
-    breaker trips).
-
-    The contract asserted on the full transcript is the same in both
-    modes:
+    The contract asserted on the full transcript:
     - {b typed responses only}: every emitted line re-parses as a
       {!Serve.Protocol.response} and round-trips byte-identically;
     - {b no lost jobs}: every accepted submission gets exactly one
@@ -39,7 +30,7 @@
 type config = {
   seed_start : int;
   seeds : int;
-  workers : int;  (** 1 = single-worker supervisor; >1 = pool scenarios *)
+  workers : int;  (** pool worker slots (>= 1) *)
   log : string -> unit;
 }
 
@@ -56,7 +47,7 @@ type summary = {
 
 val run : config -> summary
 
-(** The response transcript of one seed's scenario (one line per
-    response, ["\n"]-terminated; timestamped when [workers > 1]) —
+(** The response transcript of one seed's scenario (one timestamped
+    line per response, ["\n"]-terminated; [workers] defaults to 1) —
     exposed so tests can assert same-seed byte-equality directly. *)
 val transcript : ?workers:int -> seed:int -> unit -> string

@@ -7,91 +7,6 @@ module Cgen = Cgen
 module Extrap = Extrap
 module Pipeline = Pipeline
 
-type report = Pipeline.report = {
-  program : Conceptual.Ast.program;
-  text : string;
-  aligned : bool;
-  resolved : bool;
-  input_rsds : int;
-  final_rsds : int;
-  statements : int;
-}
-
-type warning = Pipeline.warning =
-  | W_aligned of { input_rsds : int; output_rsds : int }
-  | W_wildcard_resolved
-  | W_wildcard_fallback of string
-  | W_salvaged of Scalatrace.Salvage.report
-  | W_truncated_frontier of { anchors : int; dropped_events : int }
-  | W_missing_participants of { missing : int list; detail : string }
-
-type gen_error = Pipeline.gen_error =
-  | E_potential_deadlock of string
-  | E_align of string
-  | E_wildcard of string
-  | E_trace_format of string
-  | E_io of string
-  | E_codegen of string
-  | E_unrecoverable_trace of string
-
-let warning_to_string = Pipeline.warning_to_string
-let error_to_string = Pipeline.error_to_string
-
-(* The historical entry points raised; reconstruct the exception each
-   typed error stands for. *)
-let raise_gen_error : gen_error -> 'a = function
-  | E_potential_deadlock msg -> raise (Wildcard.Potential_deadlock msg)
-  | E_align msg -> raise (Align.Align_error msg)
-  | E_wildcard msg -> raise (Wildcard.Wildcard_error msg)
-  | E_trace_format msg -> raise (Scalatrace.Trace_io.Format_error msg)
-  | E_io msg -> raise (Sys_error msg)
-  | E_codegen msg -> raise (Codegen.Codegen_error msg)
-  | E_unrecoverable_trace msg -> raise (Scalatrace.Trace_io.Format_error msg)
-
-let generate ?name ?compute_floor_usecs trace =
-  match
-    Pipeline.run
-      { Pipeline.default with name; compute_floor_usecs }
-      (Pipeline.From_trace trace)
-  with
-  | Ok (a, _) -> a.Pipeline.report
-  | Error e -> raise_gen_error e
-
-let generate_text ?name ?compute_floor_usecs trace =
-  (generate ?name ?compute_floor_usecs trace).text
-
-let from_app ?name ?net ?fault ?max_events ?max_virtual_time
-    ?compute_floor_usecs ~nranks app =
-  match
-    Pipeline.run
-      {
-        Pipeline.default with
-        name;
-        net;
-        fault;
-        max_events;
-        max_virtual_time;
-        compute_floor_usecs;
-      }
-      (Pipeline.From_app { nranks; app })
-  with
-  | Ok (a, _) -> (a.Pipeline.report, Option.get a.Pipeline.trace_outcome)
-  | Error e -> raise_gen_error e
-
-let generate_checked ?name ?compute_floor_usecs ?strategy trace =
-  Result.map
-    (fun ((a : Pipeline.artifact), ws) -> (a.Pipeline.report, ws))
-    (Pipeline.run
-       { Pipeline.default with name; compute_floor_usecs; strategy }
-       (Pipeline.From_trace trace))
-
-let generate_checked_file ?name ?compute_floor_usecs ?strategy ~path () =
-  Result.map
-    (fun ((a : Pipeline.artifact), ws) -> (a.Pipeline.report, ws))
-    (Pipeline.run
-       { Pipeline.default with name; compute_floor_usecs; strategy }
-       (Pipeline.From_file path))
-
 (* ------------------------------------------------------------------ *)
 (* Fidelity under noise: does the generated benchmark still track the
    original application when the machine misbehaves?  Every trial draws
@@ -118,7 +33,7 @@ type noise_report = {
 }
 
 let validate_under_noise ?(net = Mpisim.Netmodel.bluegene_l) ?(trials = 5)
-    ?(base_seed = 1) ?fault ~nranks app (report : report) =
+    ?(base_seed = 1) ?fault ~nranks app (report : Pipeline.report) =
   if trials < 1 then invalid_arg "validate_under_noise: trials must be >= 1";
   let template =
     match fault with

@@ -5,11 +5,8 @@
     gated by their O(r) pre-checks.
 
     The pipeline lives in {!Pipeline}: one {!Pipeline.config} record, one
-    {!Pipeline.run} entry point, observability built in.  The historical
-    entry points below ({!generate}, {!generate_text}, {!from_app},
-    {!generate_checked}, {!generate_checked_file}) remain as thin
-    deprecated wrappers; new code should build a [Pipeline.config] and
-    call [Pipeline.run]. *)
+    {!Pipeline.run} entry point, observability built in.  This module
+    re-exports the stages and adds {!validate_under_noise}. *)
 
 (** Re-exported pipeline stages. *)
 
@@ -23,114 +20,6 @@ module Extrap = Extrap
 
 (** The unified entry point. *)
 module Pipeline = Pipeline
-
-(** The result/diagnostic types are {!Pipeline}'s, re-exported with
-    equality so existing constructors keep working. *)
-
-type report = Pipeline.report = {
-  program : Conceptual.Ast.program;
-  text : string;  (** pretty-printed .ncptl source *)
-  aligned : bool;  (** Algorithm 1 ran *)
-  resolved : bool;  (** Algorithm 2 ran *)
-  input_rsds : int;
-  final_rsds : int;  (** RSDs after the rewriting passes *)
-  statements : int;  (** statements in the generated program *)
-}
-
-type warning = Pipeline.warning =
-  | W_aligned of { input_rsds : int; output_rsds : int }
-      (** Algorithm 1 merged partial-participant collectives *)
-  | W_wildcard_resolved  (** Algorithm 2 pinned wildcard receives *)
-  | W_wildcard_fallback of string
-      (** the [`Auto] strategy abandoned the untimed traversal *)
-  | W_salvaged of Scalatrace.Salvage.report
-      (** the trace file was damaged; generation continued from what the
-          salvage loader recovered *)
-  | W_truncated_frontier of { anchors : int; dropped_events : int }
-      (** best-effort recovery cut the benchmark at the last globally
-          consistent collective frontier *)
-  | W_missing_participants of { missing : int list; detail : string }
-      (** a collective could never complete ([detail] is the wait-for
-          graph) *)
-
-type gen_error = Pipeline.gen_error =
-  | E_potential_deadlock of string  (** paper Figure 5: input can hang *)
-  | E_align of string  (** collective misuse in the trace *)
-  | E_wildcard of string  (** malformed point-to-point structure *)
-  | E_trace_format of string  (** unparseable trace file *)
-  | E_io of string  (** file-system failure *)
-  | E_codegen of string  (** code generation rejected the trace *)
-  | E_unrecoverable_trace of string
-      (** the damaged trace kept nothing usable, or recovery policy
-          forbids generating from what remains *)
-
-val warning_to_string : warning -> string
-val error_to_string : gen_error -> string
-
-(** {1 Deprecated entry points}
-
-    Thin wrappers over {!Pipeline.run}; each is one [config] away from the
-    unified API.
-
-    {b Removal schedule:} these five wrappers are frozen and will be
-    deleted two releases after the collective-algorithm redesign that
-    froze them.  They gain no new {!Pipeline.config} knobs — in
-    particular no [coll_alg] selector; they always run with the
-    [`Monolithic] default — and until removal the differential test in
-    [test/test_obs.ml] holds each one byte-identical to [Pipeline.run]
-    under an all-defaults config. *)
-
-(** Frozen wrapper, see the removal schedule above.
-    @raise Wildcard.Potential_deadlock when the input application can
-    deadlock (paper Figure 5) — reported rather than generating a hanging
-    benchmark.
-    @raise Align.Align_error on collective misuse in the trace. *)
-val generate :
-  ?name:string -> ?compute_floor_usecs:float -> Scalatrace.Trace.t -> report
-[@@deprecated "use Pipeline.run { Pipeline.default with ... } (From_trace t)"]
-
-(** [generate_text] — just the .ncptl source.  Frozen wrapper, see the
-    removal schedule above. *)
-val generate_text :
-  ?name:string -> ?compute_floor_usecs:float -> Scalatrace.Trace.t -> string
-[@@deprecated "use Pipeline.run and read report.text from the artifact"]
-
-(** Trace an application under the given network model and generate its
-    benchmark in one call.  Returns the report plus the original run's
-    outcome (for timing-fidelity comparisons).  Frozen wrapper, see the
-    removal schedule above. *)
-val from_app :
-  ?name:string ->
-  ?net:Mpisim.Netmodel.t ->
-  ?fault:Mpisim.Fault.t ->
-  ?max_events:int ->
-  ?max_virtual_time:float ->
-  ?compute_floor_usecs:float ->
-  nranks:int ->
-  (Mpisim.Mpi.ctx -> unit) ->
-  report * Mpisim.Engine.outcome
-[@@deprecated "use Pipeline.run { Pipeline.default with ... } (From_app ...)"]
-
-(** Frozen wrapper, see the removal schedule above. *)
-val generate_checked :
-  ?name:string ->
-  ?compute_floor_usecs:float ->
-  ?strategy:Wildcard.strategy ->
-  Scalatrace.Trace.t ->
-  (report * warning list, gen_error) result
-[@@deprecated "use Pipeline.run { Pipeline.default with ... } (From_trace t)"]
-
-(** Load a trace file and generate from it; file-level failures map to
-    [E_trace_format] / [E_io]. [?name] defaults to [path].  Frozen
-    wrapper, see the removal schedule above. *)
-val generate_checked_file :
-  ?name:string ->
-  ?compute_floor_usecs:float ->
-  ?strategy:Wildcard.strategy ->
-  path:string ->
-  unit ->
-  (report * warning list, gen_error) result
-[@@deprecated "use Pipeline.run { Pipeline.default with ... } (From_file path)"]
 
 (** {1 Fidelity under noise}
 
@@ -176,5 +65,5 @@ val validate_under_noise :
   ?fault:Mpisim.Fault.t ->
   nranks:int ->
   (Mpisim.Mpi.ctx -> unit) ->
-  report ->
+  Pipeline.report ->
   noise_report

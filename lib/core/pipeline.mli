@@ -1,11 +1,8 @@
 (** The unified benchmark-generation pipeline.
 
-    One configuration record and one entry point subsume the historical
-    [Benchgen.generate] / [generate_text] / [from_app] /
-    [generate_checked] / [generate_checked_file] family: every knob those
-    functions exposed lives in {!config}, every input shape in {!source},
-    and every product in {!artifact}.  The old functions survive as
-    deprecated one-line wrappers over {!run}.
+    One configuration record and one entry point: every knob lives in
+    {!config}, every input shape in {!source}, and every product in
+    {!artifact}.
 
     The pipeline is instrumented: each stage ([trace] → [align] →
     [wildcard] → [codegen]; [replay] and [compare] under {!validate})

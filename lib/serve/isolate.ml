@@ -1,89 +1,5 @@
 module Pipeline = Benchgen.Pipeline
 
-type 'a verdict = V of 'a | Timed_out | Died of string
-
-(* Marshaled over the worker pipe: the function's value or the
-   exception it raised.  Only immediate data crosses the boundary. *)
-type 'a wire = W_value of 'a | W_raised of string
-
-let run_forked (type a) ~deadline_s (f : unit -> a) : a verdict =
-  (* Flush before forking: the child inherits the parent's channel
-     buffers, and its exit must not replay half-written output. *)
-  flush stdout;
-  flush stderr;
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      (* Worker.  Never let control return into the parent's event
-         loop: compute, marshal, hard-exit (no at_exit, no channel
-         flushing — the inherited buffers belong to the parent). *)
-      Unix.close rd;
-      let result : a wire =
-        try W_value (f ()) with exn -> W_raised (Printexc.to_string exn)
-      in
-      let payload = Marshal.to_bytes result [] in
-      let rec write_all off =
-        if off < Bytes.length payload then
-          let n = Unix.write wr payload off (Bytes.length payload - off) in
-          write_all (off + n)
-      in
-      (try write_all 0 with _ -> ());
-      (try Unix.close wr with _ -> ());
-      Unix._exit 0
-  | pid -> (
-      Unix.close wr;
-      let deadline =
-        Option.map (fun d -> Util.Clock.monotonic_s () +. d) deadline_s
-      in
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
-      let kill_child () =
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid)
-      in
-      let rec read_all () =
-        let timeout =
-          match deadline with
-          | None -> -1.
-          | Some d -> Float.max 0. (d -. Util.Clock.monotonic_s ())
-        in
-        match Unix.select [ rd ] [] [] timeout with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_all ()
-        | [], _, _ ->
-            Unix.close rd;
-            kill_child ();
-            Timed_out
-        | _ -> (
-            match Unix.read rd chunk 0 (Bytes.length chunk) with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_all ()
-            | 0 -> (
-                Unix.close rd;
-                let _, status = Unix.waitpid [] pid in
-                match status with
-                | Unix.WEXITED 0 -> (
-                    match
-                      (Marshal.from_bytes
-                         (Buffer.to_bytes buf)
-                         0
-                        : a wire)
-                    with
-                    | W_value v -> V v
-                    | W_raised msg -> Died msg
-                    | exception _ -> Died "worker produced no parseable result")
-                | Unix.WEXITED n ->
-                    Died (Printf.sprintf "worker exited with status %d" n)
-                | Unix.WSIGNALED s ->
-                    Died (Printf.sprintf "worker killed by signal %d" s)
-                | Unix.WSTOPPED _ -> Died "worker stopped")
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                read_all ())
-      in
-      read_all ())
-
-(* ------------------------------------------------------------------ *)
-(* The production attempt: one Pipeline.run in a worker process.       *)
-
 (* Result shape marshaled back from the worker: everything the
    response needs, nothing pipeline-internal. *)
 type worker_result =
@@ -111,7 +27,7 @@ let attempt (sub : Protocol.submit) ~recovery : worker_result =
           {
             Protocol.ok_statements = report.Pipeline.statements;
             ok_final_rsds = report.Pipeline.final_rsds;
-            (* overwritten by the supervisor with the attempt's level *)
+            (* overwritten by the pool with the attempt's level *)
             ok_recovery = Pipeline.recovery_to_string recovery;
             ok_warnings =
               List.map
@@ -146,10 +62,3 @@ let attempt (sub : Protocol.submit) ~recovery : worker_result =
               in
               run_pipeline cfg
                 (Pipeline.From_app { nranks; app = a.program ~cls () })))
-
-let pipeline_runner sub ~recovery ~deadline_s =
-  match run_forked ~deadline_s (fun () -> attempt sub ~recovery) with
-  | V (R_ok info) -> Supervisor.A_ok info
-  | V (R_error e) -> Supervisor.A_error e
-  | Timed_out -> Supervisor.A_timeout
-  | Died msg -> Supervisor.A_crashed msg

@@ -1,25 +1,11 @@
-(** Process isolation for serve-mode attempts.
+(** One serve-mode attempt: the pipeline run a {!Worker} performs for
+    each job the {!Pool} dispatches to it.
 
-    Each attempt runs the pipeline in a forked worker process: a
-    poisoned job — one that raises, corrupts its heap, calls [exit],
-    segfaults, or simply never returns — can never take down the
-    supervisor.  The parent enforces the per-attempt wall-clock
-    deadline by [SIGKILL]ing the worker, which is reported as
-    {!Supervisor.A_timeout}; abnormal worker deaths become
-    {!Supervisor.A_crashed}. *)
-
-(** How one attempt's work terminated. *)
-type 'a verdict =
-  | V of 'a  (** worker completed and returned this value *)
-  | Timed_out  (** killed at the deadline *)
-  | Died of string  (** abnormal exit (signal, nonzero status, bad result) *)
-
-(** [run_forked ~deadline_s f] — run [f ()] in a forked child, marshal
-    its result (or the exception it raised, as [Died]) back over a
-    pipe, and [SIGKILL] the child if [deadline_s] elapses first.  The
-    returned value must be marshalable (no closures, no custom
-    blocks). *)
-val run_forked : deadline_s:float option -> (unit -> 'a) -> 'a verdict
+    Process isolation is the worker's job, not this module's: a pool
+    worker runs {!attempt} in its own forked process, so a poisoned
+    job — one that raises, corrupts its heap, calls [exit], segfaults,
+    or never returns — can only take down that worker, which the pool
+    observes and restarts. *)
 
 (** Result shape marshaled back from a worker: everything the response
     needs, nothing pipeline-internal. *)
@@ -29,16 +15,8 @@ type worker_result =
 
 (** [attempt sub ~recovery] — one pipeline attempt, run {e in the
     calling process}: build the {!Benchgen.Pipeline.config} from the
-    job, run it at [recovery], write [sub_out] if requested.  This is
-    the body both execution engines share: {!run_forked} wraps it in a
-    fresh fork per attempt; {!Worker} runs it in a persistent pool
-    worker's loop. *)
+    job, run [Pipeline.run] at [recovery], write [sub_out] if
+    requested.  Pipeline errors come back as [R_error] with the stable
+    tag and the trace path. *)
 val attempt :
   Protocol.submit -> recovery:Benchgen.Pipeline.recovery -> worker_result
-
-(** The production runner: builds a {!Benchgen.Pipeline.config} from
-    the job (source, recovery level, output path), runs
-    [Pipeline.run] in a forked worker under the deadline, and maps the
-    result to a typed {!Supervisor.attempt_outcome} (errors carry the
-    stable tag and the trace path). *)
-val pipeline_runner : Supervisor.runner

@@ -8,13 +8,13 @@
     runnable — if shorter — benchmark instead of failing hard).
 
     All randomness (jitter) flows through an explicit {!Util.Rng.t}, so
-    a supervisor with a fixed seed produces a bit-identical backoff
+    a pool with a fixed seed produces a bit-identical backoff
     schedule — the serve fuzzer and the unit tests rely on this. *)
 
 type t = {
   deadline_s : float option;
-      (** wall-clock budget for {e each attempt}; the attempt is killed
-          (fork isolation) or abandoned when it is exceeded.  [None]
+      (** wall-clock budget for {e each attempt}; the attempt's worker is
+          killed when it is exceeded.  [None]
           disables the deadline. *)
   max_retries : int;  (** retries after the first attempt (so a job runs
           at most [max_retries + 1] times) *)

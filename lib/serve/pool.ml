@@ -23,6 +23,35 @@ let default_wpolicy =
     poison_crashes = 2;
   }
 
+type attempt_outcome =
+  | A_ok of Protocol.ok_info
+  | A_error of Protocol.error_info
+  | A_timeout
+  | A_crashed of string
+
+let attempt_error ~(policy : Policy.t) ~path ~recovery = function
+  | A_error e -> e
+  | A_timeout ->
+      {
+        Protocol.e_tag = "deadline_exceeded";
+        e_path = path;
+        e_retryable = true;
+        e_detail =
+          Printf.sprintf
+            "attempt exceeded its %.3f s wall-clock deadline (recovery %s) \
+             and was killed"
+            (Option.value ~default:0. policy.Policy.deadline_s)
+            (Pipeline.recovery_to_string recovery);
+      }
+  | A_crashed msg ->
+      {
+        Protocol.e_tag = "crashed";
+        e_path = path;
+        e_retryable = true;
+        e_detail = "worker died abnormally: " ^ msg;
+      }
+  | A_ok _ -> invalid_arg "Pool.attempt_error: A_ok is not a failure"
+
 type action =
   | Spawn of { wid : int }
   | Kill of { wid : int }
@@ -38,7 +67,7 @@ type action =
 
 type event =
   | E_spawned of { wid : int }
-  | E_result of { wid : int; outcome : Supervisor.attempt_outcome }
+  | E_result of { wid : int; outcome : attempt_outcome }
   | E_died of { wid : int; detail : string }
 
 type job = {
@@ -312,11 +341,11 @@ let resolve_failure t ~now job (error : Protocol.error_info) =
 
 let classify t ~now job ~recovery outcome =
   (match outcome with
-  | Supervisor.A_timeout -> Obs.Metrics.inc t.metrics "serve.deadline_kills"
-  | Supervisor.A_crashed _ -> Obs.Metrics.inc t.metrics "serve.crashes"
+  | A_timeout -> Obs.Metrics.inc t.metrics "serve.deadline_kills"
+  | A_crashed _ -> Obs.Metrics.inc t.metrics "serve.crashes"
   | _ -> ());
   match outcome with
-  | Supervisor.A_ok info ->
+  | A_ok info ->
       t.completed <- t.completed + 1;
       Obs.Metrics.inc t.metrics ~labels:[ ("class", "ok") ] "serve.outcomes";
       let info =
@@ -336,7 +365,7 @@ let classify t ~now job ~recovery outcome =
       ]
   | outcome ->
       let error =
-        Supervisor.attempt_error
+        attempt_error
           ~policy:job.j_sub.Protocol.sub_policy
           ~path:(Protocol.submit_path job.j_sub)
           ~recovery outcome
@@ -462,10 +491,10 @@ let handle t ~now event =
                 end
                 else
                   let error =
-                    Supervisor.attempt_error
+                    attempt_error
                       ~policy:job.j_sub.Protocol.sub_policy
                       ~path:(Protocol.submit_path job.j_sub)
-                      ~recovery (Supervisor.A_crashed detail)
+                      ~recovery (A_crashed detail)
                   in
                   resolve_failure t ~now job error
             | _ -> []
@@ -497,7 +526,7 @@ let tick t ~now =
                   "pool: worker %d killed at job %s's deadline; respawning"
                   w.wid job.j_sub.Protocol.sub_id));
           job.j_attempt <- job.j_attempt + 1;
-          List.iter push (classify t ~now job ~recovery Supervisor.A_timeout)
+          List.iter push (classify t ~now job ~recovery A_timeout)
       | _ -> ())
     t.ws;
   (* 3. restart-backoff and breaker-cooldown expiries *)
@@ -601,7 +630,7 @@ module Sim = struct
     | I_drain
     | I_shutdown
 
-  type op = O_complete of Supervisor.attempt_outcome | O_die of string
+  type op = O_complete of attempt_outcome | O_die of string
 
   let run ?(spawn_delay_s = 0.01) ~pool ~script ~timeline () =
     let nw = Array.length pool.ws in
@@ -632,10 +661,10 @@ module Sim = struct
                     }
                   in
                   ops.(wid) <-
-                    Some (!now +. dur, O_complete (Supervisor.A_ok info))
+                    Some (!now +. dur, O_complete (A_ok info))
               | B_error { dur; error } ->
                   ops.(wid) <-
-                    Some (!now +. dur, O_complete (Supervisor.A_error error))
+                    Some (!now +. dur, O_complete (A_error error))
               | B_crash { dur; detail } ->
                   ops.(wid) <- Some (!now +. dur, O_die detail)
               | B_hang -> ops.(wid) <- None)

@@ -1,5 +1,6 @@
-(** The concurrent worker-pool scheduler: a deterministic, I/O-free
-    state machine that supervises N persistent worker slots.
+(** The serve scheduler: a deterministic, I/O-free state machine that
+    supervises N persistent worker slots ([N >= 1]; [benchgen serve]
+    defaults to one).
 
     This module never forks, reads, writes, sleeps, or looks at a
     clock.  Every call takes [~now] and returns a list of {!action}s
@@ -8,18 +9,26 @@
     as an {!event}.  Two environments drive it:
 
     - {!Server} performs actions against real forked {!Worker}
-      processes and feeds events from its [select] loop;
+      processes and feeds events from its [select] loop, with [~now]
+      read from {!Util.Clock};
     - {!Sim} performs them against scripted synthetic workers on a
       virtual clock, which is how every policy below is unit-tested
-      and how [Check.Servefuzz]'s concurrent scenarios run —
-      same seed, byte-identical transcript.
+      and how [Check.Servefuzz]'s scenarios run — same seed,
+      byte-identical transcript.
 
-    Supervision semantics on top of the single-worker {!Supervisor}
-    policies (per-attempt deadline, bounded retries with seeded
-    exponential backoff, recovery escalation):
+    Supervision semantics:
 
+    - {e Admission}: at most [queue_limit] live jobs (queued, awaiting
+      retry, or running); beyond it a submission is shed with
+      [Rejected Queue_full], and after {!begin_drain} with [Rejected
+      Draining].
     - {e Dispatch}: FIFO job order onto the lowest-numbered idle
       worker.
+    - {e Retry policy} (per job, from its {!Policy.t}): a failed
+      attempt classified retryable is re-queued after a seeded,
+      jittered exponential backoff until [max_retries] is spent; each
+      attempt runs at the policy's escalated recovery level, and a
+      success reports the level that worked.
     - {e Deadline}: a busy worker that exceeds the job's per-attempt
       deadline is [SIGKILL]ed and immediately respawned; the attempt
       counts as [A_timeout] (not as a worker death — the worker was
@@ -35,6 +44,23 @@
     - {e Poison quarantine}: a job whose attempts crashed
       [poison_crashes] {e distinct} workers is failed with a typed
       ["poisoned"] error instead of burning the rest of the pool. *)
+
+(** How one attempt ended, as the environment reports it. *)
+type attempt_outcome =
+  | A_ok of Protocol.ok_info
+  | A_error of Protocol.error_info
+  | A_timeout  (** the attempt hit its wall-clock deadline and was killed *)
+  | A_crashed of string  (** the attempt died abnormally *)
+
+(** Map a failed attempt to the wire error: [A_error] passes through,
+    [A_timeout] becomes ["deadline_exceeded"], [A_crashed] becomes
+    ["crashed"] (both retryable).  @raise Invalid_argument on [A_ok]. *)
+val attempt_error :
+  policy:Policy.t ->
+  path:string option ->
+  recovery:Benchgen.Pipeline.recovery ->
+  attempt_outcome ->
+  Protocol.error_info
 
 (** Worker-pool supervision knobs (per-job policy lives in
     {!Policy.t} on each submit). *)
@@ -77,7 +103,7 @@ type action =
 (** What the environment observed. *)
 type event =
   | E_spawned of { wid : int }  (** the slot's worker process is up *)
-  | E_result of { wid : int; outcome : Supervisor.attempt_outcome }
+  | E_result of { wid : int; outcome : attempt_outcome }
       (** the worker returned an attempt result (it survives; an
           [A_crashed] here means the attempt raised, not that the
           process died) *)
@@ -153,8 +179,7 @@ val worker_state_name : t -> int -> string
 (** {2 Simulated environment}
 
     Drives a pool entirely on virtual time against scripted worker
-    behaviors — the concurrent analogue of [Supervisor.sim_clock].
-    Deterministic: same pool seed + script + timeline produce the same
+    behaviors.  Deterministic: same pool seed + script + timeline produce the same
     timestamped outcomes, byte for byte. *)
 module Sim : sig
   (** How a scripted worker handles one dispatched attempt. *)

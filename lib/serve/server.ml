@@ -445,8 +445,8 @@ let serve_loop st =
                         | `Reply (Worker.R_result r) ->
                             let outcome =
                               match r with
-                              | Isolate.R_ok info -> Supervisor.A_ok info
-                              | Isolate.R_error e -> Supervisor.A_error e
+                              | Isolate.R_ok info -> Pool.A_ok info
+                              | Isolate.R_error e -> Pool.A_error e
                             in
                             perform_actions st
                               (Pool.handle st.pool ~now:(now ())
@@ -457,7 +457,7 @@ let serve_loop st =
                             perform_actions st
                               (Pool.handle st.pool ~now:(now ())
                                  (Pool.E_result
-                                    { wid; outcome = Supervisor.A_crashed msg }))
+                                    { wid; outcome = Pool.A_crashed msg }))
                         | exception _ ->
                             worker_died st wid "garbled worker reply")
                     | None -> (

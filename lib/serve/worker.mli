@@ -1,12 +1,11 @@
 (** A persistent forked pool worker.
 
-    Unlike {!Isolate.run_forked} (a fresh fork per attempt), a pool
-    worker is forked once per {!Pool.Spawn} and then loops: read one
-    marshaled request from its request pipe, run {!Isolate.attempt} in
-    its own process, marshal the reply back, repeat.  The fork cost is
-    paid per worker lifetime instead of per attempt; crash isolation is
-    unchanged (a segfaulting or [exit]ing job kills only the worker,
-    which the pool observes as EOF on the reply pipe and restarts).
+    A pool worker is forked once per {!Pool.Spawn} and then loops: read
+    one marshaled request from its request pipe, run {!Isolate.attempt}
+    in its own process, marshal the reply back, repeat.  The fork cost
+    is paid per worker lifetime, not per attempt; a segfaulting or
+    [exit]ing job kills only the worker, which the pool observes as EOF
+    on the reply pipe and restarts.
 
     In-process exceptions raised by an attempt are caught inside the
     worker and reported as {!R_raised} — the worker {e survives} them;

@@ -1,12 +1,15 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 open Mpisim
 open Scalatrace
 
 let t name f = Alcotest.test_case name `Quick f
+
+module Pipeline = Benchgen.Pipeline
+
+(* The generated report for [trace] under the default configuration. *)
+let report_of ?name trace =
+  match Pipeline.run { Pipeline.default with name } (Pipeline.From_trace trace) with
+  | Ok (a, _) -> a.Pipeline.report
+  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
 
 let s_r = Mpi.site __POS__
 let s_s = Mpi.site __POS__
@@ -76,7 +79,7 @@ let extrap_tests =
     t "extrapolated benchmark time tracks the real one" (fun () ->
         let inputs = List.map (fun p -> trace_at p ring) [ 4; 8; 16 ] in
         let ex = Benchgen.Extrap.extrapolate inputs ~target:64 in
-        let report = Benchgen.generate ~name:"ring64(extrapolated)" ex in
+        let report = report_of ~name:"ring64(extrapolated)" ex in
         let res = Conceptual.Lower.run ~nranks:64 report.program in
         let _, actual = Tracer.trace_run ~nranks:64 ring in
         let err =
@@ -135,7 +138,7 @@ let extrap_tests =
     t "extrapolated trace passes generation round-trip" (fun () ->
         let inputs = List.map (fun p -> trace_at p ring) [ 4; 8; 16 ] in
         let ex = Benchgen.Extrap.extrapolate inputs ~target:32 in
-        let report = Benchgen.generate ex in
+        let report = report_of ex in
         Alcotest.(check bool) "parses" true
           (Conceptual.Ast.equal report.program (Conceptual.Parse.program report.text)));
   ]
@@ -181,7 +184,7 @@ let stencil2d_tests =
     t "2-D stencil extrapolated benchmark runs and tracks time" (fun () ->
         let inputs = List.map (fun p -> trace_at p stencil) [ 16; 36; 64 ] in
         let ex = Benchgen.Extrap.extrapolate inputs ~target:100 in
-        let report = Benchgen.generate ex in
+        let report = report_of ex in
         let res = Conceptual.Lower.run ~nranks:100 report.program in
         let _, actual = Tracer.trace_run ~nranks:100 stencil in
         let err =

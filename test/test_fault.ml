@@ -1,13 +1,27 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 (* Fault injection, watchdog, and graceful-degradation tests. *)
 
 open Mpisim
 
 let t name f = Alcotest.test_case name `Quick f
+
+module Pipeline = Benchgen.Pipeline
+
+(* Trace [app] at [nranks] and generate its benchmark: the report and
+   the traced run's outcome. *)
+let run_app ?name ?fault ~nranks app =
+  match
+    Pipeline.run
+      { Pipeline.default with name; fault }
+      (Pipeline.From_app { nranks; app })
+  with
+  | Ok (a, _) -> (a.Pipeline.report, Option.get a.Pipeline.trace_outcome)
+  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+
+(* [Pipeline.run] on a trace, returning the report and warnings. *)
+let run_trace ?strategy source =
+  Result.map
+    (fun ((a : Pipeline.artifact), ws) -> (a.Pipeline.report, ws))
+    (Pipeline.run { Pipeline.default with strategy } source)
 
 let fin ctx = Mpi.finalize ctx
 
@@ -154,12 +168,12 @@ let resilience_tests =
             let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
             let fault = Fault.make ~seed:11 ~drop_prob:0.05 ~jitter_mean:1e-6 () in
             let report, outcome =
-              Benchgen.from_app ~name:app.name ~fault ~nranks
+              run_app ~name:app.name ~fault ~nranks
                 (app.program ~cls:Apps.Params.S ())
             in
             Alcotest.(check bool)
               (app.name ^ " generates") true
-              (report.Benchgen.statements > 0);
+              (report.Pipeline.statements > 0);
             Alcotest.(check bool)
               (app.name ^ " finished") true
               (outcome.Engine.elapsed > 0.))
@@ -311,15 +325,15 @@ let figure5 (ctx : Mpi.ctx) =
 
 let checked_tests =
   [
-    t "generate_checked: clean trace yields Ok with no warnings" (fun () ->
+    t "Pipeline.run: clean trace yields Ok with no warnings" (fun () ->
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:4 ring in
-        match Benchgen.generate_checked trace with
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+        match run_trace (Pipeline.From_trace trace) with
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
         | Ok (report, warnings) ->
             Alcotest.(check bool) "has statements" true
-              (report.Benchgen.statements > 0);
+              (report.Pipeline.statements > 0);
             Alcotest.(check int) "no warnings" 0 (List.length warnings));
-    t "generate_checked: wildcard resolution is reported as a warning"
+    t "Pipeline.run: wildcard resolution is reported as a warning"
       (fun () ->
         let prog (ctx : Mpi.ctx) =
           (if ctx.rank = 0 then begin
@@ -333,38 +347,38 @@ let checked_tests =
           Mpi.finalize ~site:s4 ctx
         in
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:3 prog in
-        match Benchgen.generate_checked trace with
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+        match run_trace (Pipeline.From_trace trace) with
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
         | Ok (report, warnings) ->
-            Alcotest.(check bool) "resolved" true report.Benchgen.resolved;
+            Alcotest.(check bool) "resolved" true report.Pipeline.resolved;
             Alcotest.(check bool) "warned" true
-              (List.mem Benchgen.W_wildcard_resolved warnings));
-    t "generate_checked: Figure 5 comes back as a typed error" (fun () ->
+              (List.mem Pipeline.W_wildcard_resolved warnings));
+    t "Pipeline.run: Figure 5 comes back as a typed error" (fun () ->
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:3 figure5 in
-        match Benchgen.generate_checked ~strategy:`Traversal trace with
+        match run_trace ~strategy:`Traversal (Pipeline.From_trace trace) with
         | Ok _ -> Alcotest.fail "expected E_potential_deadlock"
-        | Error (Benchgen.E_potential_deadlock _) -> ()
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e));
-    t "generate_checked_file: garbage file is E_trace_format" (fun () ->
+        | Error (Pipeline.E_potential_deadlock _) -> ()
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e));
+    t "Pipeline.run From_file: garbage file is E_trace_format" (fun () ->
         let path = Filename.temp_file "benchgen" ".trace" in
         let oc = open_out path in
         output_string oc "this is not a trace\n";
         close_out oc;
-        let r = Benchgen.generate_checked_file ~path () in
+        let r = run_trace (Pipeline.From_file path) in
         Sys.remove path;
         match r with
-        | Error (Benchgen.E_trace_format _) -> ()
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+        | Error (Pipeline.E_trace_format _) -> ()
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
         | Ok _ -> Alcotest.fail "expected E_trace_format");
-    t "generate_checked_file: missing file is E_io" (fun () ->
+    t "Pipeline.run From_file: missing file is E_io" (fun () ->
         match
-          Benchgen.generate_checked_file ~path:"/nonexistent/benchgen.trace" ()
+          run_trace (Pipeline.From_file "/nonexistent/benchgen.trace")
         with
-        | Error (Benchgen.E_io _) -> ()
-        | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+        | Error (Pipeline.E_io _) -> ()
+        | Error e -> Alcotest.fail (Pipeline.error_to_string e)
         | Ok _ -> Alcotest.fail "expected E_io");
     t "validate_under_noise: reproducible sampled distribution" (fun () ->
-        let report, _ = Benchgen.from_app ~nranks:4 ring in
+        let report, _ = run_app ~nranks:4 ring in
         let run () =
           Benchgen.validate_under_noise ~trials:3 ~base_seed:5 ~nranks:4 ring
             report
@@ -386,7 +400,7 @@ let checked_tests =
               && s.Benchgen.ns_bandwidth_factor < 1.))
           a.Benchgen.nr_samples);
     t "validate_under_noise rejects trials < 1" (fun () ->
-        let report, _ = Benchgen.from_app ~nranks:4 ring in
+        let report, _ = run_app ~nranks:4 ring in
         Alcotest.(check bool) "raises" true
           (try
              ignore (Benchgen.validate_under_noise ~trials:0 ~nranks:4 ring report);

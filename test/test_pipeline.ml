@@ -1,14 +1,32 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 (* End-to-end pipeline tests: trace -> generate -> parse -> run, across the
    whole application suite, checking the paper's correctness criteria. *)
 
 open Mpisim
 
 let t name f = Alcotest.test_case name `Quick f
+
+module Pipeline = Benchgen.Pipeline
+
+(* Trace [app] at [nranks] and generate its benchmark: the report and
+   the traced run's outcome. *)
+let run_app ?name ?fault ~nranks app =
+  match
+    Pipeline.run
+      { Pipeline.default with name; fault }
+      (Pipeline.From_app { nranks; app })
+  with
+  | Ok (a, _) -> (a.Pipeline.report, Option.get a.Pipeline.trace_outcome)
+  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+
+(* The generated report for [trace] under the default configuration. *)
+let report_of ?compute_floor_usecs trace =
+  match
+    Pipeline.run
+      { Pipeline.default with compute_floor_usecs }
+      (Pipeline.From_trace trace)
+  with
+  | Ok (a, _) -> a.Pipeline.report
+  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
 
 let cls = Apps.Params.S
 
@@ -32,7 +50,7 @@ let per_app name =
   let nranks = Apps.Registry.fit_nranks app ~wanted:(if name = "bt" || name = "sp" then 9 else 8) in
   [
     t (name ^ ": generated benchmark preserves p2p counts and volume") (fun () ->
-        let report, _ = Benchgen.from_app ~name ~nranks (app.program ~cls ()) in
+        let report, _ = run_app ~name ~nranks (app.program ~cls ()) in
         let prof_o = Mpip.create () and prof_g = Mpip.create () in
         ignore (Mpi.run ~hooks:[ Mpip.hook prof_o ] ~nranks (app.program ~cls ()));
         ignore (Conceptual.Lower.run ~hooks:[ Mpip.hook prof_g ] ~nranks report.program);
@@ -43,11 +61,11 @@ let per_app name =
         Alcotest.(check int) "recv calls" rc rc';
         Alcotest.(check int) "recv bytes" rb rb');
     t (name ^ ": generated text parses back to the same program") (fun () ->
-        let report, _ = Benchgen.from_app ~name ~nranks (app.program ~cls ()) in
+        let report, _ = run_app ~name ~nranks (app.program ~cls ()) in
         Alcotest.(check bool) "round-trip" true
           (Conceptual.Ast.equal report.program (Conceptual.Parse.program report.text)));
     t (name ^ ": timing within 25% of the original") (fun () ->
-        let report, orig = Benchgen.from_app ~name ~nranks (app.program ~cls ()) in
+        let report, orig = run_app ~name ~nranks (app.program ~cls ()) in
         let res = Conceptual.Lower.run ~nranks report.program in
         let err =
           Float.abs (res.outcome.elapsed -. orig.elapsed) /. orig.elapsed *. 100.
@@ -56,8 +74,8 @@ let per_app name =
           (Printf.sprintf "err %.1f%%" err)
           true (err < 25.));
     t (name ^ ": generation is deterministic") (fun () ->
-        let r1, _ = Benchgen.from_app ~name ~nranks (app.program ~cls ()) in
-        let r2, _ = Benchgen.from_app ~name ~nranks (app.program ~cls ()) in
+        let r1, _ = run_app ~name ~nranks (app.program ~cls ()) in
+        let r2, _ = run_app ~name ~nranks (app.program ~cls ()) in
         Alcotest.(check string) "same text" r1.text r2.text);
   ]
 
@@ -69,16 +87,16 @@ let misc_tests =
         let sweep = Option.get (Apps.Registry.find "sweep3d") in
         (* 9 ranks -> 3x3 grid with an interior rank, so the two allreduce
            call sites really are rank-conditional *)
-        let r, _ = Benchgen.from_app ~name:"sweep3d" ~nranks:9 (sweep.program ~cls ()) in
+        let r, _ = run_app ~name:"sweep3d" ~nranks:9 (sweep.program ~cls ()) in
         Alcotest.(check bool) "aligned" true r.aligned;
         Alcotest.(check bool) "not resolved" false r.resolved;
         let lu = Option.get (Apps.Registry.find "lu") in
-        let r2, _ = Benchgen.from_app ~name:"lu" ~nranks:8 (lu.program ~cls ()) in
+        let r2, _ = run_app ~name:"lu" ~nranks:8 (lu.program ~cls ()) in
         Alcotest.(check bool) "not aligned" false r2.aligned;
         Alcotest.(check bool) "resolved" true r2.resolved);
     t "generated code contains no communicator operations" (fun () ->
         let cg = Option.get (Apps.Registry.find "cg") in
-        let r, _ = Benchgen.from_app ~name:"cg" ~nranks:8 (cg.program ~cls ()) in
+        let r, _ = run_app ~name:"cg" ~nranks:8 (cg.program ~cls ()) in
         Alcotest.(check bool) "no comm_split in text" false
           (let re = "Comm_split" in
            let text = r.text in
@@ -91,14 +109,14 @@ let misc_tests =
            find 0));
     t "statement count is sublinear in events" (fun () ->
         let ft = Option.get (Apps.Registry.find "ft") in
-        let r, _ = Benchgen.from_app ~name:"ft" ~nranks:8 (ft.program ~cls:Apps.Params.W ()) in
+        let r, _ = run_app ~name:"ft" ~nranks:8 (ft.program ~cls:Apps.Params.W ()) in
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:8 (ft.program ~cls:Apps.Params.W ()) in
         Alcotest.(check bool) "far fewer statements than events" true
           (r.statements * 5 < Scalatrace.Trace.event_count trace));
     t "compute_floor drops tiny gaps" (fun () ->
         let ep = Option.get (Apps.Registry.find "ep") in
         let trace, _ = Scalatrace.Tracer.trace_run ~nranks:4 (ep.program ~cls ()) in
-        let tight = Benchgen.generate ~compute_floor_usecs:1e9 trace in
+        let tight = report_of ~compute_floor_usecs:1e9 trace in
         let has_compute =
           Conceptual.Ast.fold_stmts
             (fun acc s -> acc || match s with Conceptual.Ast.Compute _ -> true | _ -> false)
@@ -107,7 +125,7 @@ let misc_tests =
         Alcotest.(check bool) "no compute" false has_compute);
     t "what-if scaling halves run time (Sec 5.4 workflow)" (fun () ->
         let ep = Option.get (Apps.Registry.find "ep") in
-        let r, _ = Benchgen.from_app ~name:"ep" ~nranks:4 (ep.program ~cls ()) in
+        let r, _ = run_app ~name:"ep" ~nranks:4 (ep.program ~cls ()) in
         let full = (Conceptual.Lower.run ~nranks:4 r.program).outcome.elapsed in
         let half =
           (Conceptual.Lower.run ~nranks:4 (Conceptual.Edit.scale_compute 0.5 r.program))
@@ -189,7 +207,7 @@ let apps_tests =
           (fun name ->
             let app = Option.get (Apps.Registry.find name) in
             let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
-            let report, orig = Benchgen.from_app ~name ~nranks (app.program ~cls ()) in
+            let report, orig = run_app ~name ~nranks (app.program ~cls ()) in
             let res = Conceptual.Lower.run ~nranks report.program in
             let err =
               Float.abs (res.outcome.elapsed -. orig.elapsed) /. orig.elapsed *. 100.

@@ -191,8 +191,8 @@ let unit_tests =
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:0 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Strict path with
-            | Error (Benchgen.E_trace_format _) -> ()
-            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Error (Benchgen.Pipeline.E_trace_format _) -> ()
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
             | Ok _ -> Alcotest.fail "strict mode accepted a damaged trace"));
     t "salvage mode refuses a trace whose collectives cannot complete"
       (fun () ->
@@ -202,7 +202,7 @@ let unit_tests =
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:3 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Salvage path with
-            | Error (Benchgen.E_unrecoverable_trace msg) ->
+            | Error (Benchgen.Pipeline.E_unrecoverable_trace msg) ->
                 let contains hay needle =
                   let nl = String.length needle and hl = String.length hay in
                   let rec go i =
@@ -214,7 +214,7 @@ let unit_tests =
                 Alcotest.(check bool)
                   "names the wait-for graph" true
                   (contains msg "waiting on")
-            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
             | Ok _ -> Alcotest.fail "`Salvage generated from a dead wait"));
     t "best-effort generates a runnable prefix from a damaged trace"
       (fun () ->
@@ -222,16 +222,16 @@ let unit_tests =
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:3 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Best_effort path with
-            | Error e -> Alcotest.fail (Benchgen.error_to_string e)
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
             | Ok (artifact, warnings) ->
                 let has p = List.exists p warnings in
                 Alcotest.(check bool)
                   "W_salvaged" true
-                  (has (function Benchgen.W_salvaged _ -> true | _ -> false));
+                  (has (function Benchgen.Pipeline.W_salvaged _ -> true | _ -> false));
                 Alcotest.(check bool)
                   "W_truncated_frontier" true
                   (has (function
-                    | Benchgen.W_truncated_frontier _ -> true
+                    | Benchgen.Pipeline.W_truncated_frontier _ -> true
                     | _ -> false));
                 (* the artifact must parse and replay *)
                 let report = artifact.Benchgen.Pipeline.report in

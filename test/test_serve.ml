@@ -1,12 +1,12 @@
 (* Serve mode: supervision policy (backoff schedule, recovery
-   escalation), wire protocol round-trips, admission control, the
-   supervisor's retry/deadline/crash-isolation behavior on a virtual
-   clock, the seeded service fuzzer, and domain-safety of the metrics
-   registry the server aggregates into. *)
+   escalation), wire protocol round-trips, the pool scheduler's
+   retry/deadline/crash-isolation/admission behavior at one worker and
+   its concurrent supervision at several (both on virtual time), the
+   seeded service fuzzer, and domain-safety of the metrics registry the
+   server aggregates into. *)
 
 module Policy = Serve.Policy
 module P = Serve.Protocol
-module Sup = Serve.Supervisor
 module Pipeline = Benchgen.Pipeline
 
 let t name f = Alcotest.test_case name `Quick f
@@ -280,7 +280,9 @@ let protocol_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Supervisor on a virtual clock                                       *)
+(* The pool at one worker: retry, deadline, crash isolation, admission *)
+
+module Pool = Serve.Pool
 
 let ok_info =
   {
@@ -301,224 +303,13 @@ let submit_of ?(policy = Policy.default) id =
     sub_emit_text = false;
   }
 
-let sup_of ?(queue_limit = 8) runner =
-  Sup.create ~queue_limit ~seed:1 ~runner ~clock:(Sup.sim_clock ()) ()
-
-let supervisor_tests =
-  [
-    t "clean job: accepted then one ok result" (fun () ->
-        let sup = sup_of (fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info) in
-        (match Sup.submit sup (submit_of "a") with
-        | P.Accepted { id = "a"; queue_depth = 1 } -> ()
-        | r -> Alcotest.failf "unexpected: %s" (P.response_to_line r));
-        match Sup.run_next sup with
-        | Some (P.Result_ok { id = "a"; attempts = 1; _ }) ->
-            Alcotest.(check int) "queue empty" 0 (Sup.queue_length sup)
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-    t "retry escalates recovery until success" (fun () ->
-        (* fails at strict and salvage, succeeds at best-effort: the
-           escalation path the paper's damaged-trace story needs *)
-        let seen = ref [] in
-        let runner _ ~recovery ~deadline_s:_ =
-          seen := recovery :: !seen;
-          if recovery = `Best_effort then
-            Sup.A_ok { ok_info with P.ok_recovery = "best-effort" }
-          else
-            Sup.A_error
-              {
-                P.e_tag = "unrecoverable_trace";
-                e_path = None;
-                e_retryable = true;
-                e_detail = "needs weaker recovery";
-              }
-        in
-        let policy = { Policy.default with max_retries = 2 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "esc"));
-        (match Sup.run_next sup with
-        | Some (P.Result_ok { id = "esc"; attempts = 3; info }) ->
-            Alcotest.(check string)
-              "reports the successful level" "best-effort" info.P.ok_recovery
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-        Alcotest.(check bool)
-          "ran strict, salvage, best-effort in order" true
-          (List.rev !seen = [ `Strict; `Salvage; `Best_effort ]));
-    t "retries exhausted: last error surfaces with attempt count" (fun () ->
-        let runner _ ~recovery:_ ~deadline_s:_ =
-          Sup.A_error
-            {
-              P.e_tag = "trace_format";
-              e_path = Some "x.trace";
-              e_retryable = true;
-              e_detail = "always broken";
-            }
-        in
-        let policy = { Policy.default with max_retries = 2 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "f"));
-        match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 3; error; _ }) ->
-            Alcotest.(check string) "tag" "trace_format" error.P.e_tag;
-            Alcotest.(check (option string)) "path" (Some "x.trace") error.P.e_path
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-    t "non-retryable error stops immediately" (fun () ->
-        let calls = ref 0 in
-        let runner _ ~recovery:_ ~deadline_s:_ =
-          incr calls;
-          Sup.A_error
-            {
-              P.e_tag = "io";
-              e_path = Some "/gone.trace";
-              e_retryable = false;
-              e_detail = "no such file";
-            }
-        in
-        let policy = { Policy.default with max_retries = 5 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "io"));
-        (match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 1; _ }) -> ()
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-        Alcotest.(check int) "runner called once" 1 !calls);
-    t "deadline kill: timeout is typed and counted" (fun () ->
-        let runner _ ~recovery:_ ~deadline_s:_ = Sup.A_timeout in
-        let policy =
-          { Policy.default with deadline_s = Some 0.5; max_retries = 1 }
-        in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "slow"));
-        (match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 2; error; _ }) ->
-            Alcotest.(check string) "tag" "deadline_exceeded" error.P.e_tag;
-            Alcotest.(check bool) "retryable" true error.P.e_retryable
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-        Alcotest.(check (option int))
-          "deadline_kills metric" (Some 2)
-          (Obs.Metrics.counter_value (Sup.metrics sup) "serve.deadline_kills"));
-    t "crash isolation: a raising runner never kills the supervisor"
-      (fun () ->
-        let runner _ ~recovery:_ ~deadline_s:_ =
-          failwith "worker heap corruption"
-        in
-        let policy = { Policy.default with max_retries = 0 } in
-        let sup = sup_of runner in
-        ignore (Sup.submit sup (submit_of ~policy "boom"));
-        (match Sup.run_next sup with
-        | Some (P.Result_error { attempts = 1; error; _ }) ->
-            Alcotest.(check string) "tag" "crashed" error.P.e_tag
-        | Some r -> Alcotest.failf "unexpected: %s" (P.response_to_line r)
-        | None -> Alcotest.fail "no response");
-        (* the supervisor keeps serving after the crash *)
-        let ok _ ~recovery:_ ~deadline_s:_ = Sup.A_ok ok_info in
-        ignore ok;
-        ignore (Sup.submit sup (submit_of ~policy "boom2"));
-        match Sup.run_next sup with
-        | Some (P.Result_error { id = "boom2"; _ }) -> ()
-        | _ -> Alcotest.fail "supervisor did not survive the crash");
-    t "queue-full load shedding" (fun () ->
-        let sup =
-          Sup.create ~queue_limit:2 ~seed:1
-            ~runner:(fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info)
-            ~clock:(Sup.sim_clock ()) ()
-        in
-        ignore (Sup.submit sup (submit_of "a"));
-        ignore (Sup.submit sup (submit_of "b"));
-        (match Sup.submit sup (submit_of "c") with
-        | P.Rejected { id = Some "c"; reason = P.Queue_full } -> ()
-        | r -> Alcotest.failf "expected queue_full, got %s" (P.response_to_line r));
-        Alcotest.(check int) "queue bounded" 2 (Sup.queue_length sup);
-        Alcotest.(check (option int))
-          "sheds counted" (Some 1)
-          (Obs.Metrics.counter_value (Sup.metrics sup) "serve.sheds");
-        (* freeing a slot re-opens admission *)
-        ignore (Sup.run_next sup);
-        match Sup.submit sup (submit_of "d") with
-        | P.Accepted _ -> ()
-        | r -> Alcotest.failf "expected accepted, got %s" (P.response_to_line r));
-    t "drain finishes queued work and rejects new submits" (fun () ->
-        let sup = sup_of (fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info) in
-        ignore (Sup.submit sup (submit_of "a"));
-        ignore (Sup.submit sup (submit_of "b"));
-        Sup.begin_drain sup;
-        (match Sup.submit sup (submit_of "late") with
-        | P.Rejected { reason = P.Draining; _ } -> ()
-        | r -> Alcotest.failf "expected draining, got %s" (P.response_to_line r));
-        let rs = Sup.drain sup in
-        let lines = List.map P.response_to_line rs in
-        Alcotest.(check int) "two results + summary" 3 (List.length rs);
-        (match List.rev rs with
-        | P.Drained { jobs_run = 2; cancelled = 0 } :: _ -> ()
-        | _ ->
-            Alcotest.failf "bad drain tail: %s" (String.concat " | " lines));
-        Alcotest.(check int) "queue empty" 0 (Sup.queue_length sup));
-    t "shutdown cancels queued jobs with typed responses" (fun () ->
-        let sup = sup_of (fun _ ~recovery:_ ~deadline_s:_ -> Sup.A_ok ok_info) in
-        ignore (Sup.submit sup (submit_of "a"));
-        ignore (Sup.submit sup (submit_of "b"));
-        match Sup.shutdown sup with
-        | [ P.Cancelled { id = "a" }; P.Cancelled { id = "b" };
-            P.Drained { jobs_run = 0; cancelled = 2 } ] ->
-            Alcotest.(check bool) "draining afterwards" true (Sup.draining sup)
-        | rs ->
-            Alcotest.failf "unexpected shutdown transcript: %s"
-              (String.concat " | " (List.map P.response_to_line rs)));
-    t "backoff sleeps land on the supervisor's clock" (fun () ->
-        let clock = Sup.sim_clock () in
-        let fails = ref 2 in
-        let runner _ ~recovery:_ ~deadline_s:_ =
-          if !fails > 0 then begin
-            decr fails;
-            Sup.A_error
-              {
-                P.e_tag = "trace_format";
-                e_path = None;
-                e_retryable = true;
-                e_detail = "transient";
-              }
-          end
-          else Sup.A_ok ok_info
-        in
-        let policy =
-          {
-            Policy.default with
-            max_retries = 2;
-            backoff_base_s = 0.1;
-            backoff_factor = 2.;
-            jitter = 0.;
-          }
-        in
-        let sup = Sup.create ~seed:1 ~runner ~clock () in
-        ignore (Sup.submit sup (submit_of ~policy "r"));
-        ignore (Sup.run_next sup);
-        (* two retries => 0.1 + 0.2 seconds of virtual backoff *)
-        Alcotest.(check (float 1e-6))
-          "virtual time advanced by the schedule" 0.3
-          (clock.Sup.now ()));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Worker pool: concurrent dispatch, crash restart, breaker, poison    *)
-
-module Pool = Serve.Pool
-
-let pool_sub ?(policy = Policy.default) id =
-  {
-    P.sub_id = id;
-    sub_source = P.J_app { app = "x"; nranks = 4; cls = "A" };
-    sub_policy = policy;
-    sub_emit_text = false;
-    sub_out = None;
-  }
-
 let dispatch_wids acts =
   List.filter_map
     (function Pool.Dispatch { wid; _ } -> Some wid | _ -> None)
     acts
+
+let responds acts =
+  List.filter_map (function Pool.Respond r -> Some r | _ -> None) acts
 
 let ok_behavior ?(dur = 0.01) () =
   Pool.Sim.B_ok { dur; statements = 4 }
@@ -534,13 +325,311 @@ let last_result_at responses =
       match r with P.Result_ok _ | P.Result_error _ -> Float.max acc at | _ -> acc)
     0. responses
 
+(* One job (plus a drain) through a simulated single-worker pool. *)
+let run_one ?metrics ?spawn_delay_s ~script ?(policy = Policy.default) id =
+  Pool.Sim.run ?spawn_delay_s
+    ~pool:(sim_pool ?metrics ~workers:1 ())
+    ~script
+    ~timeline:
+      [ (0.0, Pool.Sim.I_submit (submit_of ~policy id)); (0.0, Pool.Sim.I_drain) ]
+    ()
+
+let show rs =
+  String.concat " | "
+    (List.map (fun (at, r) -> Printf.sprintf "%.3f %s" at (P.response_to_line r)) rs)
+
+let terminal rs =
+  List.find_map
+    (fun (_, r) ->
+      match r with P.Result_ok _ | P.Result_error _ -> Some r | _ -> None)
+    rs
+
+let single_worker_tests =
+  [
+    t "clean job: accepted then one ok result" (fun () ->
+        let rs =
+          run_one ~script:(fun _ ~attempt:_ ~recovery:_ -> ok_behavior ()) "a"
+        in
+        match List.map snd rs with
+        | [
+         P.Accepted { id = "a"; queue_depth = 1 };
+         P.Result_ok { id = "a"; attempts = 1; _ };
+         P.Drained { jobs_run = 1; cancelled = 0 };
+        ] ->
+            ()
+        | _ -> Alcotest.failf "unexpected transcript: %s" (show rs));
+    t "retry escalates recovery until success" (fun () ->
+        (* fails at strict and salvage, succeeds at best-effort: the
+           escalation path the paper's damaged-trace story needs *)
+        let seen = ref [] in
+        let script _ ~attempt:_ ~recovery =
+          seen := recovery :: !seen;
+          if recovery = `Best_effort then ok_behavior ()
+          else
+            Pool.Sim.B_error
+              {
+                dur = 0.01;
+                error =
+                  {
+                    P.e_tag = "unrecoverable_trace";
+                    e_path = None;
+                    e_retryable = true;
+                    e_detail = "needs weaker recovery";
+                  };
+              }
+        in
+        let policy = { Policy.default with max_retries = 2 } in
+        let rs = run_one ~script ~policy "esc" in
+        (match terminal rs with
+        | Some (P.Result_ok { id = "esc"; attempts = 3; info }) ->
+            Alcotest.(check string)
+              "reports the successful level" "best-effort" info.P.ok_recovery
+        | _ -> Alcotest.failf "unexpected transcript: %s" (show rs));
+        Alcotest.(check bool)
+          "ran strict, salvage, best-effort in order" true
+          (List.rev !seen = [ `Strict; `Salvage; `Best_effort ]));
+    t "retries exhausted: last error surfaces with attempt count" (fun () ->
+        let script _ ~attempt ~recovery:_ =
+          Pool.Sim.B_error
+            {
+              dur = 0.01;
+              error =
+                {
+                  P.e_tag = "trace_format";
+                  e_path = Some "x.trace";
+                  e_retryable = true;
+                  e_detail = Printf.sprintf "always broken (attempt %d)" attempt;
+                };
+            }
+        in
+        let policy = { Policy.default with max_retries = 2 } in
+        let rs = run_one ~script ~policy "f" in
+        match terminal rs with
+        | Some (P.Result_error { attempts = 3; error; _ }) ->
+            Alcotest.(check string) "tag" "trace_format" error.P.e_tag;
+            Alcotest.(check (option string)) "path" (Some "x.trace") error.P.e_path;
+            Alcotest.(check string)
+              "the last attempt's error" "always broken (attempt 2)"
+              error.P.e_detail
+        | _ -> Alcotest.failf "unexpected transcript: %s" (show rs));
+    t "non-retryable error stops immediately" (fun () ->
+        let calls = ref 0 in
+        let script _ ~attempt:_ ~recovery:_ =
+          incr calls;
+          Pool.Sim.B_error
+            {
+              dur = 0.01;
+              error =
+                {
+                  P.e_tag = "io";
+                  e_path = Some "/gone.trace";
+                  e_retryable = false;
+                  e_detail = "no such file";
+                };
+            }
+        in
+        let policy = { Policy.default with max_retries = 5 } in
+        let m = Obs.Metrics.create () in
+        let rs = run_one ~metrics:m ~script ~policy "io" in
+        (match terminal rs with
+        | Some (P.Result_error { attempts = 1; _ }) -> ()
+        | _ -> Alcotest.failf "unexpected transcript: %s" (show rs));
+        Alcotest.(check int) "dispatched once" 1 !calls;
+        Alcotest.(check (option int))
+          "no retries" None
+          (Obs.Metrics.counter_value m "serve.retries"));
+    t "deadline kill: timeout is typed and counted" (fun () ->
+        let policy =
+          { Policy.default with deadline_s = Some 0.5; max_retries = 1 }
+        in
+        let m = Obs.Metrics.create () in
+        let rs =
+          run_one ~metrics:m
+            ~script:(fun _ ~attempt:_ ~recovery:_ -> Pool.Sim.B_hang)
+            ~policy "slow"
+        in
+        (match terminal rs with
+        | Some (P.Result_error { attempts = 2; error; _ }) ->
+            Alcotest.(check string) "tag" "deadline_exceeded" error.P.e_tag;
+            Alcotest.(check bool) "retryable" true error.P.e_retryable
+        | _ -> Alcotest.failf "unexpected transcript: %s" (show rs));
+        Alcotest.(check (option int))
+          "deadline_kills metric" (Some 2)
+          (Obs.Metrics.counter_value m "serve.deadline_kills"));
+    t "crash isolation: a raising runner never kills the supervisor"
+      (fun () ->
+        (* An attempt that raises in-process comes back as an [A_crashed]
+           result from a worker that is still alive: the job is retried,
+           the slot stays idle, and no worker death is recorded. *)
+        let policy =
+          { Policy.default with max_retries = 1; backoff_base_s = 0.1; jitter = 0. }
+        in
+        let m = Obs.Metrics.create () in
+        let pool = sim_pool ~metrics:m ~workers:1 () in
+        ignore (Pool.boot pool);
+        ignore (Pool.handle pool ~now:0.0 (Pool.E_spawned { wid = 0 }));
+        let _, acts = Pool.submit pool ~now:0.0 (submit_of ~policy "boom") in
+        Alcotest.(check (list int)) "dispatched" [ 0 ] (dispatch_wids acts);
+        let raised =
+          Pool.E_result
+            { wid = 0; outcome = Pool.A_crashed "Failure(\"worker heap corruption\")" }
+        in
+        let acts = Pool.handle pool ~now:0.1 raised in
+        Alcotest.(check int) "retry scheduled, no answer yet" 0
+          (List.length (responds acts));
+        Alcotest.(check string) "worker idle" "idle"
+          (Pool.worker_state_name pool 0);
+        Alcotest.(check (option int))
+          "crash counted" (Some 1)
+          (Obs.Metrics.counter_value m "serve.crashes");
+        let acts = Pool.tick pool ~now:0.25 in
+        Alcotest.(check (list int)) "retried on the same worker" [ 0 ]
+          (dispatch_wids acts);
+        (match responds (Pool.handle pool ~now:0.3 raised) with
+        | [ P.Result_error { id = "boom"; attempts = 2; error } ] ->
+            Alcotest.(check string) "tag" "crashed" error.P.e_tag
+        | rs ->
+            Alcotest.failf "unexpected: %s"
+              (String.concat " | " (List.map P.response_to_line rs)));
+        Alcotest.(check (option int))
+          "no worker deaths" None
+          (Obs.Metrics.counter_value m "serve.pool.deaths");
+        (* the pool keeps serving on the same worker after the crash *)
+        let _, acts = Pool.submit pool ~now:0.4 (submit_of "next") in
+        Alcotest.(check (list int)) "next dispatched" [ 0 ] (dispatch_wids acts);
+        match
+          responds
+            (Pool.handle pool ~now:0.5
+               (Pool.E_result { wid = 0; outcome = Pool.A_ok ok_info }))
+        with
+        | [ P.Result_ok { id = "next"; attempts = 1; _ } ] -> ()
+        | _ -> Alcotest.fail "pool did not survive the crash");
+    t "queue-full load shedding" (fun () ->
+        let m = Obs.Metrics.create () in
+        let pool = sim_pool ~metrics:m ~queue_limit:2 ~workers:1 () in
+        ignore (Pool.boot pool);
+        (* the worker is still starting, so accepted jobs stay queued *)
+        ignore (Pool.submit pool ~now:0.0 (submit_of "a"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "b"));
+        (match Pool.submit pool ~now:0.0 (submit_of "c") with
+        | P.Rejected { id = Some "c"; reason = P.Queue_full }, [] -> ()
+        | r, _ ->
+            Alcotest.failf "expected queue_full, got %s" (P.response_to_line r));
+        Alcotest.(check int) "queue bounded" 2 (Pool.queue_length pool);
+        Alcotest.(check (option int))
+          "sheds counted" (Some 1)
+          (Obs.Metrics.counter_value m "serve.sheds");
+        (* an out-of-band rejection, e.g. an oversized request line *)
+        (match Pool.reject pool (P.Oversized { bytes = 2048; limit = 1024 }) with
+        | P.Rejected { id = None; reason = P.Oversized _ } -> ()
+        | r -> Alcotest.failf "unexpected: %s" (P.response_to_line r));
+        List.iter
+          (fun reason ->
+            Alcotest.(check (option int))
+              ("serve.rejected{reason=" ^ reason ^ "}")
+              (Some 1)
+              (Obs.Metrics.counter_value m
+                 ~labels:[ ("reason", reason) ]
+                 "serve.rejected"))
+          [ "queue_full"; "oversized" ];
+        (* finishing a job re-opens admission *)
+        ignore (Pool.handle pool ~now:0.0 (Pool.E_spawned { wid = 0 }));
+        ignore
+          (Pool.handle pool ~now:0.1
+             (Pool.E_result { wid = 0; outcome = Pool.A_ok ok_info }));
+        match Pool.submit pool ~now:0.2 (submit_of "d") with
+        | P.Accepted _, _ -> ()
+        | r, _ ->
+            Alcotest.failf "expected accepted, got %s" (P.response_to_line r));
+    t "drain finishes queued work and rejects new submits" (fun () ->
+        let rs =
+          Pool.Sim.run
+            ~pool:(sim_pool ~workers:1 ())
+            ~script:(fun _ ~attempt:_ ~recovery:_ -> ok_behavior ())
+            ~timeline:
+              [
+                (0.0, Pool.Sim.I_submit (submit_of "a"));
+                (0.0, Pool.Sim.I_submit (submit_of "b"));
+                (0.0, Pool.Sim.I_drain);
+                (0.0, Pool.Sim.I_submit (submit_of "late"));
+              ]
+            ()
+        in
+        match List.map snd rs with
+        | [
+         P.Accepted { id = "a"; _ };
+         P.Accepted { id = "b"; _ };
+         P.Rejected { id = Some "late"; reason = P.Draining };
+         P.Result_ok { id = "a"; _ };
+         P.Result_ok { id = "b"; _ };
+         P.Drained { jobs_run = 2; cancelled = 0 };
+        ] ->
+            ()
+        | _ -> Alcotest.failf "unexpected transcript: %s" (show rs));
+    t "shutdown cancels queued jobs with typed responses" (fun () ->
+        let pool = sim_pool ~workers:1 () in
+        ignore (Pool.boot pool);
+        ignore (Pool.submit pool ~now:0.0 (submit_of "a"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "b"));
+        match Pool.shutdown pool ~now:0.0 with
+        | ( [ P.Cancelled { id = "a" }; P.Cancelled { id = "b" };
+              P.Drained { jobs_run = 0; cancelled = 2 } ],
+            [] ) ->
+            Alcotest.(check bool) "draining afterwards" true (Pool.draining pool);
+            Alcotest.(check bool) "no live jobs" true (Pool.idle pool)
+        | rs, _ ->
+            Alcotest.failf "unexpected shutdown transcript: %s"
+              (String.concat " | " (List.map P.response_to_line rs)));
+    t "backoff sleeps land on the supervisor's clock" (fun () ->
+        (* two instant failures, then success: the answer arrives exactly
+           when the backoff schedule says, on the virtual timeline *)
+        let script _ ~attempt ~recovery:_ =
+          if attempt < 2 then
+            Pool.Sim.B_error
+              {
+                dur = 0.;
+                error =
+                  {
+                    P.e_tag = "trace_format";
+                    e_path = None;
+                    e_retryable = true;
+                    e_detail = "transient";
+                  };
+              }
+          else Pool.Sim.B_ok { dur = 0.; statements = 4 }
+        in
+        let policy =
+          {
+            Policy.default with
+            max_retries = 2;
+            backoff_base_s = 0.1;
+            backoff_factor = 2.;
+            jitter = 0.;
+          }
+        in
+        let rs = run_one ~spawn_delay_s:0. ~script ~policy "r" in
+        match
+          List.find_opt
+            (fun (_, r) -> match r with P.Result_ok _ -> true | _ -> false)
+            rs
+        with
+        | Some (at, P.Result_ok { attempts = 3; _ }) ->
+            (* two retries => 0.1 + 0.2 seconds of virtual backoff *)
+            Alcotest.(check (float 1e-6))
+              "virtual time advanced by the schedule" 0.3 at
+        | _ -> Alcotest.failf "unexpected transcript: %s" (show rs));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Worker pool: concurrent dispatch, crash restart, breaker, poison    *)
+
 let pool_tests =
   [
     t "4 concurrent slow jobs finish in ~1x single-job wall-clock" (fun () ->
         let slow _ ~attempt:_ ~recovery:_ = ok_behavior ~dur:1.0 () in
         let timeline =
           List.init 4 (fun i ->
-              (0.0, Pool.Sim.I_submit (pool_sub (Printf.sprintf "j%d" i))))
+              (0.0, Pool.Sim.I_submit (submit_of (Printf.sprintf "j%d" i))))
           @ [ (0.0, Pool.Sim.I_drain) ]
         in
         let run workers =
@@ -577,7 +666,7 @@ let pool_tests =
             ~pool:(sim_pool ~metrics:m ~workers:2 ())
             ~script
             ~timeline:
-              [ (0.0, Pool.Sim.I_submit (pool_sub "j1")); (0.0, Pool.Sim.I_drain) ]
+              [ (0.0, Pool.Sim.I_submit (submit_of "j1")); (0.0, Pool.Sim.I_drain) ]
             ()
         in
         (match
@@ -610,8 +699,8 @@ let pool_tests =
             ~script
             ~timeline:
               [
-                (0.0, Pool.Sim.I_submit (pool_sub "poison"));
-                (0.5, Pool.Sim.I_submit (pool_sub "after"));
+                (0.0, Pool.Sim.I_submit (submit_of "poison"));
+                (0.5, Pool.Sim.I_submit (submit_of "after"));
                 (0.5, Pool.Sim.I_drain);
               ]
             ()
@@ -689,8 +778,8 @@ let pool_tests =
             ~script
             ~timeline:
               [
-                (0.0, Pool.Sim.I_submit (pool_sub ~policy "hang"));
-                (1.0, Pool.Sim.I_submit (pool_sub ~policy "next"));
+                (0.0, Pool.Sim.I_submit (submit_of ~policy "hang"));
+                (1.0, Pool.Sim.I_submit (submit_of ~policy "next"));
                 (1.0, Pool.Sim.I_drain);
               ]
             ()
@@ -723,19 +812,19 @@ let pool_tests =
         ignore (Pool.boot pool);
         (* worker never spawns, so submissions stay queued (= live) *)
         let accept id =
-          match Pool.submit pool ~now:0.0 (pool_sub id) with
+          match Pool.submit pool ~now:0.0 (submit_of id) with
           | P.Accepted _, _ -> true
           | _ -> false
         in
         Alcotest.(check bool) "j1 in" true (accept "j1");
         Alcotest.(check bool) "j2 in" true (accept "j2");
-        (match Pool.submit pool ~now:0.0 (pool_sub "j3") with
+        (match Pool.submit pool ~now:0.0 (submit_of "j3") with
         | P.Rejected { reason = P.Queue_full; _ }, [] -> ()
         | _ -> Alcotest.fail "overflow not shed");
         let pool4 = sim_pool ~queue_limit:8 ~workers:1 () in
         ignore (Pool.boot pool4);
-        ignore (Pool.submit pool4 ~now:0.0 (pool_sub "dup"));
-        match Pool.submit pool4 ~now:0.0 (pool_sub "dup") with
+        ignore (Pool.submit pool4 ~now:0.0 (submit_of "dup"));
+        match Pool.submit pool4 ~now:0.0 (submit_of "dup") with
         | P.Rejected { reason = P.Bad_request _; id = Some "dup" }, [] -> ()
         | _ -> Alcotest.fail "duplicate live id accepted");
     t "dispatch picks FIFO job, lowest-numbered idle worker" (fun () ->
@@ -744,8 +833,8 @@ let pool_tests =
         for wid = 0 to 2 do
           ignore (Pool.handle pool ~now:0.0 (Pool.E_spawned { wid }))
         done;
-        let _, a1 = Pool.submit pool ~now:0.1 (pool_sub "a") in
-        let _, a2 = Pool.submit pool ~now:0.1 (pool_sub "b") in
+        let _, a1 = Pool.submit pool ~now:0.1 (submit_of "a") in
+        let _, a2 = Pool.submit pool ~now:0.1 (submit_of "b") in
         Alcotest.(check (list int)) "a -> worker 0" [ 0 ] (dispatch_wids a1);
         Alcotest.(check (list int)) "b -> worker 1" [ 1 ] (dispatch_wids a2);
         let done_acts =
@@ -754,7 +843,7 @@ let pool_tests =
                {
                  wid = 0;
                  outcome =
-                   Sup.A_ok
+                   Pool.A_ok
                      {
                        P.ok_statements = 1;
                        ok_final_rsds = 1;
@@ -766,17 +855,17 @@ let pool_tests =
                })
         in
         ignore done_acts;
-        let _, a3 = Pool.submit pool ~now:0.3 (pool_sub "c") in
+        let _, a3 = Pool.submit pool ~now:0.3 (submit_of "c") in
         Alcotest.(check (list int)) "freed worker 0 reused" [ 0 ]
           (dispatch_wids a3));
     t "shutdown cancels queued and running jobs and kills workers" (fun () ->
         let pool = sim_pool ~workers:1 () in
         ignore (Pool.boot pool);
         ignore (Pool.handle pool ~now:0.0 (Pool.E_spawned { wid = 0 }));
-        ignore (Pool.submit pool ~now:0.0 (pool_sub "j1"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "j1"));
         (* j1 is busy on worker 0 *)
-        ignore (Pool.submit pool ~now:0.0 (pool_sub "j2"));
-        ignore (Pool.submit pool ~now:0.0 (pool_sub "j3"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "j2"));
+        ignore (Pool.submit pool ~now:0.0 (submit_of "j3"));
         let responses, acts = Pool.shutdown pool ~now:0.1 in
         let ids =
           List.filter_map
@@ -894,5 +983,5 @@ let metrics_domain_tests =
   ]
 
 let suite =
-  policy_tests @ protocol_tests @ supervisor_tests @ pool_tests @ fuzz_tests
+  policy_tests @ protocol_tests @ single_worker_tests @ pool_tests @ fuzz_tests
   @ metrics_domain_tests

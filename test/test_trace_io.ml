@@ -1,12 +1,15 @@
-(* Deliberately exercises the deprecated Benchgen wrappers: they must
-   keep behaving exactly like Pipeline.run until they are removed (the
-   differential check lives in test_obs.ml). *)
-[@@@alert "-deprecated"]
-
 open Mpisim
 open Scalatrace
 
 let t name f = Alcotest.test_case name `Quick f
+
+module Pipeline = Benchgen.Pipeline
+
+(* The generated report for [trace] under the default configuration. *)
+let report_of ?name trace =
+  match Pipeline.run { Pipeline.default with name } (Pipeline.From_trace trace) with
+  | Ok (a, _) -> a.Pipeline.report
+  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
 
 let seq_sig trace rank =
   let out = ref [] in
@@ -52,8 +55,8 @@ let unit_tests =
     t "generation from a reloaded trace is identical" (fun () ->
         let app = Option.get (Apps.Registry.find "lu") in
         let trace, _ = Tracer.trace_run ~nranks:8 (app.program ~cls:Apps.Params.S ()) in
-        let direct = Benchgen.generate ~name:"lu" trace in
-        let reloaded = Benchgen.generate ~name:"lu" (Trace_io.of_text (Trace_io.to_text trace)) in
+        let direct = report_of ~name:"lu" trace in
+        let reloaded = report_of ~name:"lu" (Trace_io.of_text (Trace_io.to_text trace)) in
         Alcotest.(check string) "same benchmark" direct.text reloaded.text);
     t "save/load through a file" (fun () ->
         let app = Option.get (Apps.Registry.find "ep") in
