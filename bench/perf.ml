@@ -1,15 +1,18 @@
 (* Perf-regression harness for the engine hot paths.
 
-   Two parts, both wall-clock timed:
+   Wall-clock timed sections:
 
-   - an engine microbenchmark that floods one receiver's matching queues
-     (unexpected queue drained out of arrival order, then a deep pre-posted
-     receive queue), run once with the [`Reference] list matcher and once
-     with the [`Indexed] hash matcher — the speedup column is the point of
-     the exercise;
-   - the end-to-end pipeline (trace -> align -> wildcard -> generate) over
-     the NPB suite at several rank counts, with per-stage times and a
-     traced-events-per-second figure.
+   - a matching-queue microbenchmark: the same flood of unexpected
+     messages (drained newest-senders-first) and deep pre-posted receive
+     queue, driven through the production {!Mpisim.Matchq} and through the
+     list-scan oracle {!Reference.Matchq} — the speedup column is the
+     point of the exercise;
+   - the inter-rank merge of a high-RSD trace, production
+     {!Scalatrace.Merge} against the linear-scan {!Reference.Merge};
+   - collective-algorithm and neighborhood-schedule microbenchmarks;
+   - the product itself, [Pipeline.run] on a [From_app] source, over the
+     NPB suite at several rank counts, with a traced-events-per-second
+     figure.
 
    Results go to BENCH_engine.json in the working directory.  [--quick]
    shrinks every dimension and then re-parses the emitted JSON — that mode
@@ -22,71 +25,88 @@ let wall f =
   (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Engine microbenchmark                                               *)
+(* Matching-queue microbenchmark                                        *)
 
-(* Generous buffers: the point is queue search cost, not flow control. *)
-let micro_net =
-  { Mpisim.Netmodel.bluegene_l with unexpected_buffer_bytes = max_int / 2 }
+module type QUEUES = sig
+  module Unexpected : sig
+    type t
 
-(* Phase 1: every sender floods rank 0 while it computes, so all messages
-   land in the unexpected queue; rank 0 then drains newest-senders-first,
-   the worst case for a list scan.  Phase 2: rank 0 pre-posts every
-   receive, senders fire only after a delay, so each arrival searches a
-   deep posted queue. *)
-let matching_stress ~msgs_per_rank (ctx : Mpisim.Mpi.ctx) =
-  let module Mpi = Mpisim.Mpi in
-  let n = ctx.nranks and k = msgs_per_rank in
-  if ctx.rank = 0 then begin
-    Mpi.compute ctx 1.0;
-    for r = n - 1 downto 1 do
-      for i = k - 1 downto 0 do
-        ignore
-          (Mpi.recv ctx ~src:(Mpisim.Call.Rank r) ~tag:(Mpisim.Call.Tag (1000 + i))
-             ~bytes:32)
-      done
-    done;
-    let reqs = ref [] in
-    for r = 1 to n - 1 do
-      for i = 0 to k - 1 do
-        reqs :=
-          Mpi.irecv ctx ~src:(Mpisim.Call.Rank r) ~tag:(Mpisim.Call.Tag (2000 + i))
-            ~bytes:32
-          :: !reqs
-      done
-    done;
-    ignore (Mpi.waitall ctx (List.rev !reqs));
-    Mpi.finalize ctx
-  end
-  else begin
-    for i = 0 to k - 1 do
-      Mpi.send ctx ~dst:0 ~tag:(1000 + i) ~bytes:32
-    done;
-    (* later ranks go first, so arrivals match late posts *)
-    Mpi.compute ctx (2.0 +. (float_of_int (n - ctx.rank) *. 1e-4));
-    for i = 0 to k - 1 do
-      Mpi.send ctx ~dst:0 ~tag:(2000 + i) ~bytes:32
-    done;
-    Mpi.finalize ctx
+    val create : unit -> t
+    val add : t -> Mpisim.Matchq.msg -> unit
+    val take : t -> Mpisim.Matchq.posted -> Mpisim.Matchq.msg option
   end
 
-type micro_run = { wall_s : float; events : int; events_per_s : float }
+  module Posted : sig
+    type t
 
-let run_micro ~matcher ~nranks ~msgs_per_rank =
-  let outcome, dt =
-    wall (fun () ->
-        Mpisim.Mpi.run ~net:micro_net ~matcher ~nranks
-          (matching_stress ~msgs_per_rank))
+    val create : unit -> t
+    val add : t -> Mpisim.Matchq.posted -> unit
+
+    val take :
+      t -> src:int -> tag:int -> comm:int -> Mpisim.Matchq.posted option
+  end
+end
+
+(* Phase 1: every sender's messages arrive (round-robin over senders)
+   before any receive is posted, and the receiver drains them
+   newest-senders-first — the worst case for a list scan.  Phase 2: every
+   receive is pre-posted, then messages arrive latest-sender-first, so
+   each arrival searches a deep posted queue.  Returns the number of
+   queue operations and a checksum of the matched request ids. *)
+let matching_stress (module Q : QUEUES) ~nranks ~msgs_per_rank:k =
+  let open Mpisim.Matchq in
+  let sum = ref 0 in
+  let matched = function
+    | Some id -> sum := !sum + id
+    | None -> failwith "matching stress: an operation found no match"
   in
-  { wall_s = dt; events = outcome.Mpisim.Engine.events;
-    events_per_s = float_of_int outcome.Mpisim.Engine.events /. Float.max dt 1e-9 }
+  let uq = Q.Unexpected.create () in
+  for i = 0 to k - 1 do
+    for r = 1 to nranks - 1 do
+      Q.Unexpected.add uq
+        {
+          m_src = r; m_dst = 0; m_tag = 1000 + i; m_bytes = 32; m_comm = 0;
+          m_protocol = Eager; m_arrival = 0.; m_send_req = (r * k) + i;
+          m_reserved = false;
+        }
+    done
+  done;
+  for r = nranks - 1 downto 1 do
+    for i = k - 1 downto 0 do
+      let p = { p_req = 0; p_src = Some r; p_tag = Some (1000 + i); p_comm = 0; p_time = 0. } in
+      matched (Option.map (fun m -> m.m_send_req) (Q.Unexpected.take uq p))
+    done
+  done;
+  let pq = Q.Posted.create () in
+  for r = 1 to nranks - 1 do
+    for i = 0 to k - 1 do
+      Q.Posted.add pq
+        { p_req = (r * k) + i; p_src = Some r; p_tag = Some (2000 + i); p_comm = 0; p_time = 0. }
+    done
+  done;
+  for r = nranks - 1 downto 1 do
+    for i = 0 to k - 1 do
+      matched (Option.map (fun p -> p.p_req) (Q.Posted.take pq ~src:r ~tag:(2000 + i) ~comm:0))
+    done
+  done;
+  (4 * (nranks - 1) * k, !sum)
+
+type micro_run = { wall_s : float; ops : int; ops_per_s : float; checksum : int }
+
+let run_micro queues ~nranks ~msgs_per_rank =
+  let (ops, checksum), dt =
+    wall (fun () -> matching_stress queues ~nranks ~msgs_per_rank)
+  in
+  { wall_s = dt; ops; ops_per_s = float_of_int ops /. Float.max dt 1e-9; checksum }
 
 (* ------------------------------------------------------------------ *)
 (* Merge stress: reference vs indexed inter-rank merge                 *)
 
 (* The high-RSD regime that made MG fall off a cliff, distilled: trace
-   the [hirsd] stress app once, then run {!Scalatrace.Merge} over the
-   same per-rank traces with both implementations.  The merged traces
-   must be byte-identical — the index is a pure lookup structure. *)
+   the [hirsd] stress app once, then merge the same per-rank traces with
+   the production {!Scalatrace.Merge} and the linear-scan oracle.  The
+   merged traces must be byte-identical — the index is a pure lookup
+   structure. *)
 
 type merge_run = {
   g_nranks : int;
@@ -106,13 +126,18 @@ let run_merge_stress ~nranks ~cls =
   ignore
     (Mpisim.Mpi.run ~hooks:[ Scalatrace.Tracer.hook t ] ~nranks
        (app.program ~cls ()));
+  (* The first merge pays for growing the heap, so the order is fixed:
+     oracle first.  It gets no communicator table; its nodes are compared
+     under the product's. *)
   let reference, reference_s =
-    wall (fun () -> Scalatrace.Tracer.finish ~merge_impl:`Reference t)
+    wall (fun () ->
+        Reference.Merge.merge ~nranks ~comms:[] (Scalatrace.Tracer.local_traces t))
   in
-  let indexed, indexed_s =
-    wall (fun () -> Scalatrace.Tracer.finish ~merge_impl:`Indexed t)
-  in
-  if Scalatrace.Trace.to_text reference <> Scalatrace.Trace.to_text indexed
+  let indexed, indexed_s = wall (fun () -> Scalatrace.Tracer.finish t) in
+  if
+    Scalatrace.Trace.to_text
+      (Scalatrace.Trace.with_nodes indexed (Scalatrace.Trace.nodes reference))
+    <> Scalatrace.Trace.to_text indexed
   then failwith "merge implementations disagree on the merged trace";
   {
     g_nranks = nranks;
@@ -135,6 +160,10 @@ let merge_json m =
 
 (* ------------------------------------------------------------------ *)
 (* Collective-algorithm microbenchmark                                  *)
+
+(* Generous buffers: the point is schedule cost, not flow control. *)
+let micro_net =
+  { Mpisim.Netmodel.bluegene_l with unexpected_buffer_bytes = max_int / 2 }
 
 (* One allreduce per iteration under each schedule strategy, at the
    suite's rank counts and a latency-bound/bandwidth-bound payload pair.
@@ -283,46 +312,48 @@ let neighbor_json r =
 (* ------------------------------------------------------------------ *)
 (* End-to-end pipeline over the application suite                      *)
 
+(* One [Pipeline.run] per row, exactly what [benchgen generate] runs:
+   the traced simulation and merge, then align and wildcard resolution
+   only when their pre-checks find work, then codegen. *)
+
 type app_run = {
   a_name : string;
   a_nranks : int;
-  trace_s : float;
-  align_s : float;
-  wildcard_s : float;
-  generate_s : float;
+  pipeline_s : float;
   a_events : int;
   a_events_per_s : float;
+  aligned : bool;
+  resolved : bool;
   input_rsds : int;
   final_rsds : int;
 }
 
 let run_app (app : Apps.Registry.app) ~wanted =
   let nranks = Apps.Registry.fit_nranks app ~wanted in
-  let (trace, outcome), trace_s =
-    wall (fun () -> Scalatrace.Tracer.trace_run ~nranks (app.program ()))
-  in
-  let aligned, align_s = wall (fun () -> Benchgen.Align.run trace) in
-  let resolved, wildcard_s = wall (fun () -> Benchgen.Wildcard.run aligned) in
-  let report, generate_s =
+  let artifact, pipeline_s =
     wall (fun () ->
         match
           Benchgen.Pipeline.run
             { Benchgen.Pipeline.default with name = Some app.name }
-            (Benchgen.Pipeline.From_trace resolved)
+            (Benchgen.Pipeline.From_app { nranks; app = app.program () })
         with
-        | Ok (a, _) -> a.Benchgen.Pipeline.report
+        | Ok (a, _) -> a
         | Error e -> failwith (Benchgen.Pipeline.error_to_string e))
+  in
+  let report = artifact.Benchgen.Pipeline.report in
+  let events =
+    match artifact.Benchgen.Pipeline.trace_outcome with
+    | Some o -> o.Mpisim.Engine.events
+    | None -> 0
   in
   {
     a_name = app.name;
     a_nranks = nranks;
-    trace_s;
-    align_s;
-    wildcard_s;
-    generate_s;
-    a_events = outcome.Mpisim.Engine.events;
-    a_events_per_s =
-      float_of_int outcome.Mpisim.Engine.events /. Float.max trace_s 1e-9;
+    pipeline_s;
+    a_events = events;
+    a_events_per_s = float_of_int events /. Float.max pipeline_s 1e-9;
+    aligned = report.Benchgen.Pipeline.aligned;
+    resolved = report.Benchgen.Pipeline.resolved;
     input_rsds = report.Benchgen.Pipeline.input_rsds;
     final_rsds = report.Benchgen.Pipeline.final_rsds;
   }
@@ -336,8 +367,8 @@ let micro_json m =
   Obs.Json.Obj
     [
       ("wall_s", Obs.Json.Num m.wall_s);
-      ("events", jint m.events);
-      ("events_per_s", Obs.Json.Num m.events_per_s);
+      ("ops", jint m.ops);
+      ("ops_per_s", Obs.Json.Num m.ops_per_s);
     ]
 
 let app_json a =
@@ -345,12 +376,11 @@ let app_json a =
     [
       ("app", Obs.Json.Str a.a_name);
       ("nranks", jint a.a_nranks);
-      ("trace_s", Obs.Json.Num a.trace_s);
-      ("align_s", Obs.Json.Num a.align_s);
-      ("wildcard_s", Obs.Json.Num a.wildcard_s);
-      ("generate_s", Obs.Json.Num a.generate_s);
+      ("pipeline_s", Obs.Json.Num a.pipeline_s);
       ("events", jint a.a_events);
       ("events_per_s", Obs.Json.Num a.a_events_per_s);
+      ("aligned", Obs.Json.Bool a.aligned);
+      ("resolved", Obs.Json.Bool a.resolved);
       ("input_rsds", jint a.input_rsds);
       ("final_rsds", jint a.final_rsds);
     ]
@@ -360,7 +390,7 @@ let emit ~path ~mode ~micro_nranks ~msgs_per_rank ~reference ~indexed ~merge
   let doc =
     Obs.Json.Obj
       [
-        ("schema", Obs.Json.Str "bench-engine/1");
+        ("schema", Obs.Json.Str "bench-engine/2");
         ("mode", Obs.Json.Str mode);
         ( "micro",
           Obs.Json.Obj
@@ -371,8 +401,7 @@ let emit ~path ~mode ~micro_nranks ~msgs_per_rank ~reference ~indexed ~merge
               ("indexed", micro_json indexed);
               ( "speedup",
                 Obs.Json.Num
-                  (indexed.events_per_s /. Float.max reference.events_per_s 1e-9)
-              );
+                  (indexed.ops_per_s /. Float.max reference.ops_per_s 1e-9) );
             ] );
         ("merge", merge_json merge);
         ("collalg", Obs.Json.Arr (List.map collalg_json collalg));
@@ -402,7 +431,7 @@ let validate_json path =
         (fun k ->
           if Obs.Json.member k j = None then
             raise (Bad_json ("missing top-level key: " ^ k)))
-        [ "schema"; "micro"; "collalg"; "neighbor"; "apps" ]
+        [ "schema"; "micro"; "merge"; "collalg"; "neighbor"; "apps" ]
   | _ -> raise (Bad_json "top level is not an object")
 
 (* ------------------------------------------------------------------ *)
@@ -411,22 +440,22 @@ let run ~quick () =
   let micro_nranks = if quick then 64 else 256 in
   let msgs_per_rank = if quick then 4 else 32 in
   Printf.printf
-    "engine microbenchmark: %d ranks x %d msgs/rank, reference vs indexed \
-     matcher\n%!"
+    "matching queues: %d ranks x %d msgs/rank, list-scan reference vs \
+     indexed\n%!"
     micro_nranks msgs_per_rank;
-  let reference = run_micro ~matcher:`Reference ~nranks:micro_nranks ~msgs_per_rank in
-  let indexed = run_micro ~matcher:`Indexed ~nranks:micro_nranks ~msgs_per_rank in
-  if reference.events <> indexed.events then
-    failwith
-      (Printf.sprintf
-         "matcher implementations disagree on event count: reference=%d \
-          indexed=%d"
-         reference.events indexed.events);
-  let speedup = indexed.events_per_s /. Float.max reference.events_per_s 1e-9 in
+  let reference =
+    run_micro (module Reference.Matchq) ~nranks:micro_nranks ~msgs_per_rank
+  in
+  let indexed =
+    run_micro (module Mpisim.Matchq) ~nranks:micro_nranks ~msgs_per_rank
+  in
+  if reference.checksum <> indexed.checksum then
+    failwith "matching queue implementations disagree on the matches";
+  let speedup = indexed.ops_per_s /. Float.max reference.ops_per_s 1e-9 in
   Printf.printf
-    "  reference: %8.0f events/s (%.3fs)\n  indexed:   %8.0f events/s \
+    "  reference: %8.0f ops/s (%.3fs)\n  indexed:   %8.0f ops/s \
      (%.3fs)\n  speedup:   %.1fx\n%!"
-    reference.events_per_s reference.wall_s indexed.events_per_s indexed.wall_s
+    reference.ops_per_s reference.wall_s indexed.ops_per_s indexed.wall_s
     speedup;
   let merge_nranks = if quick then 8 else 64 in
   let merge_cls = if quick then Apps.Params.S else Apps.Params.C in
@@ -468,9 +497,11 @@ let run ~quick () =
           (fun app ->
             let r = run_app app ~wanted in
             Printf.printf
-              "  %-8s p=%-4d trace %.3fs  align %.3fs  wildcard %.3fs  \
-               generate %.3fs  (%.0f events/s)\n%!"
-              r.a_name r.a_nranks r.trace_s r.align_s r.wildcard_s r.generate_s
+              "  %-8s p=%-4d pipeline %.3fs  align %-3s wildcard %-3s  (%.0f \
+               events/s)\n%!"
+              r.a_name r.a_nranks r.pipeline_s
+              (if r.aligned then "yes" else "no")
+              (if r.resolved then "yes" else "no")
               r.a_events_per_s;
             r)
           apps)

@@ -132,6 +132,13 @@ let sim_term =
           ~doc:"Watchdog: abort once virtual time exceeds $(docv) seconds.")
   in
   let make seed drop jitter noise retries max_events max_virtual_time =
+    (match max_events with
+    | Some m when m <= 0 -> fail exit_invalid "--max-events must be positive"
+    | _ -> ());
+    (match max_virtual_time with
+    | Some t when not (Float.is_finite t) || t <= 0. ->
+        fail exit_invalid "--max-time must be positive and finite"
+    | _ -> ());
     let fault =
       if seed = None && drop = 0. && jitter = 0. && noise = 0. then None
       else

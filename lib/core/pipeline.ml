@@ -267,7 +267,7 @@ let load_with_recovery cfg ~warn metrics path =
       match Scalatrace.Trace_io.of_string ~path text with
       | trace -> trace
       | exception Scalatrace.Trace_io.Format_error _ -> (
-          match Scalatrace.Salvage.of_string ~path text with
+          match Scalatrace.Salvage.of_string text with
           | Error msg -> raise (Unrecoverable (path ^ ": " ^ msg))
           | Ok (trace, report) ->
               Obs.Metrics.inc metrics ~by:report.frames_dropped

@@ -120,7 +120,6 @@ type state = {
   max_events : int option;
   max_virtual_time : float option;
   obs : Obs.Sink.t;
-  obs_sample_every : int;
   mutable now : float;
   mutable n_events : int;
   mutable n_msgs : int;
@@ -152,6 +151,10 @@ let fire_collective_complete st ~time ~comm ~name ~participants =
 
 (* Engine virtual time is seconds; trace timestamps are microseconds. *)
 let obs_ts t = t *. 1e6
+
+(* Queue depths are sampled every this many discrete events (and once at
+   the end of the run) when the sink is enabled. *)
+let obs_sample_every = 256
 
 (* Per-rank queue depths plus engine-wide totals, emitted as Chrome
    counter tracks.  Purely a function of simulation state at a virtual
@@ -1138,12 +1141,9 @@ let handle_call st rank (call : Call.t) (k : fiber) =
 (* Run loop                                                            *)
 
 let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
-    ?max_virtual_time ?(matcher : Matchq.impl = `Indexed)
-    ?(coll_alg : Coll_alg.t = `Monolithic) ?(obs = Obs.Sink.nil)
-    ?(obs_sample_every = 256) ~nranks program =
+    ?max_virtual_time ?(coll_alg : Coll_alg.t = `Monolithic)
+    ?(obs = Obs.Sink.nil) ~nranks program =
   if nranks < 1 then raise (Mpi_error "run: nranks must be >= 1");
-  if obs_sample_every < 1 then
-    raise (Mpi_error "run: obs_sample_every must be >= 1");
   (* With a live sink, transport incidents and collective completions are
      observed through the standard hook mechanism. *)
   let hooks = if obs.Obs.Sink.enabled then hooks @ [ Hooks.observer obs ] else hooks in
@@ -1169,8 +1169,8 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
             {
               rs_rank = rank; rs_clock = 0.; rs_finished = false;
               rs_finalized = false; rs_current = None;
-              rs_posted = Mq.Posted.create matcher;
-              rs_unexpected = Mq.Unexpected.create matcher;
+              rs_posted = Mq.Posted.create ();
+              rs_unexpected = Mq.Unexpected.create ();
               rs_buffered = 0;
               rs_parked = Util.Deque.create ~capacity:4 ();
               rs_proc_free = 0.; rs_nic_free = 0.;
@@ -1189,7 +1189,6 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
       max_events;
       max_virtual_time;
       obs;
-      obs_sample_every;
       now = 0.;
       n_events = 0;
       n_msgs = 0;
@@ -1274,7 +1273,7 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
         | E_resume (rank, v) -> resume rank v
         | E_deliver m -> deliver st m
         | E_retransmit (m, attempt) -> transmit st m ~depart:t ~attempt);
-        if st.obs.Obs.Sink.enabled && st.n_events mod st.obs_sample_every = 0
+        if st.obs.Obs.Sink.enabled && st.n_events mod obs_sample_every = 0
         then obs_sample st;
         loop ()
   in

@@ -58,10 +58,6 @@ type outcome = {
       events have been processed.
     @param max_virtual_time watchdog: raise {!Stalled} once virtual time
       exceeds this many seconds.
-    @param matcher message-matching implementation (default [`Indexed],
-      the hash-indexed O(1) matcher; [`Reference] is the original list
-      scan, kept as the semantic oracle for differential tests and perf
-      baselines — see {!Matchq}).
     @param coll_alg collective algorithm selection (default
       [`Monolithic], the original analytic model — the reference
       strategy, so default timings are unchanged).  Other selections
@@ -78,20 +74,18 @@ type outcome = {
       flight, event / message / stall totals, fault counters), and — via
       an automatically appended {!Hooks.observer} — fault and
       collective-completion instants.  All timestamps are virtual
-      microseconds, so sampled traces are deterministic.  With the [nil]
-      sink every observation point is a single flag test.
-    @param obs_sample_every emit queue-depth samples every this many
-      discrete events (default 256; must be >= 1). *)
+      microseconds, so sampled traces are deterministic.  Queue depths
+      are sampled every 256 discrete events and once at the end of the
+      run.  With the [nil] sink every observation point is a single flag
+      test. *)
 val run :
   ?hooks:Hooks.t list ->
   ?net:Netmodel.t ->
   ?fault:Fault.t ->
   ?max_events:int ->
   ?max_virtual_time:float ->
-  ?matcher:Matchq.impl ->
   ?coll_alg:Coll_alg.t ->
   ?obs:Obs.Sink.t ->
-  ?obs_sample_every:int ->
   nranks:int ->
   (ctx -> unit) ->
   outcome

@@ -25,19 +25,6 @@ let msg_matches_posted (m : msg) (p : posted) =
   && (match p.p_src with None -> true | Some s -> s = m.m_src)
   && match p.p_tag with None -> true | Some t -> t = m.m_tag
 
-type impl = [ `Indexed | `Reference ]
-
-(* Remove the first element satisfying [pred]; None if absent.  The
-   reference implementations below are the engine's original list scans,
-   kept verbatim as the semantic oracle. *)
-let take_first pred lst =
-  let rec go acc = function
-    | [] -> None
-    | x :: rest ->
-        if pred x then Some (x, List.rev_append acc rest) else go (x :: acc) rest
-  in
-  go [] lst
-
 let bucket tbl key =
   match Hashtbl.find_opt tbl key with
   | Some dq -> dq
@@ -56,39 +43,29 @@ module Unexpected = struct
      head, so both views always agree on the earliest live match. *)
   type cell = { msg : msg; seq : int; mutable dead : bool }
 
-  type indexed = {
+  type t = {
     mutable next_seq : int;
     mutable live : int;
     buckets : (int * int * int, cell Util.Deque.t) Hashtbl.t; (* src, tag, comm *)
     mutable order : cell Util.Deque.t;
   }
 
-  type t = Indexed of indexed | Reference of msg list ref
+  let create () =
+    {
+      next_seq = 0;
+      live = 0;
+      buckets = Hashtbl.create 64;
+      order = Util.Deque.create ();
+    }
 
-  let create : impl -> t = function
-    | `Indexed ->
-        Indexed
-          {
-            next_seq = 0;
-            live = 0;
-            buckets = Hashtbl.create 64;
-            order = Util.Deque.create ();
-          }
-    | `Reference -> Reference (ref [])
-
-  let length = function
-    | Indexed ix -> ix.live
-    | Reference l -> List.length !l
+  let length t = t.live
 
   let add t m =
-    match t with
-    | Reference l -> l := !l @ [ m ]
-    | Indexed ix ->
-        let cell = { msg = m; seq = ix.next_seq; dead = false } in
-        ix.next_seq <- ix.next_seq + 1;
-        ix.live <- ix.live + 1;
-        Util.Deque.push_back (bucket ix.buckets (m.m_src, m.m_tag, m.m_comm)) cell;
-        Util.Deque.push_back ix.order cell
+    let cell = { msg = m; seq = t.next_seq; dead = false } in
+    t.next_seq <- t.next_seq + 1;
+    t.live <- t.live + 1;
+    Util.Deque.push_back (bucket t.buckets (m.m_src, m.m_tag, m.m_comm)) cell;
+    Util.Deque.push_back t.order cell
 
   let rec pop_live dq =
     match Util.Deque.pop_front dq with
@@ -104,52 +81,39 @@ module Unexpected = struct
 
   (* Cells killed through the bucket view accumulate mid-deque in [order];
      rebuild it once the dead outnumber the live. *)
-  let compact ix =
-    if Util.Deque.length ix.order > (2 * ix.live) + 32 then begin
-      let fresh = Util.Deque.create ~capacity:(ix.live + 1) () in
-      Util.Deque.iter (fun c -> if not c.dead then Util.Deque.push_back fresh c) ix.order;
-      ix.order <- fresh
+  let compact t =
+    if Util.Deque.length t.order > (2 * t.live) + 32 then begin
+      let fresh = Util.Deque.create ~capacity:(t.live + 1) () in
+      Util.Deque.iter (fun c -> if not c.dead then Util.Deque.push_back fresh c) t.order;
+      t.order <- fresh
     end
 
   let take t (p : posted) =
-    match t with
-    | Reference l -> (
-        match take_first (fun m -> msg_matches_posted m p) !l with
-        | Some (m, rest) ->
-            l := rest;
-            Some m
-        | None -> None)
-    | Indexed ix -> (
-        let found =
-          match (p.p_src, p.p_tag) with
-          | Some s, Some tg -> (
-              match Hashtbl.find_opt ix.buckets (s, tg, p.p_comm) with
-              | None -> None
-              | Some dq -> pop_live dq)
-          | _ ->
-              (* Wildcard: earliest arrival wins, so scan the master deque.
-                 The cell found is necessarily at the live head of its own
-                 bucket; mark it dead and let that bucket skip it later. *)
-              drop_dead_head ix.order;
-              Util.Deque.find_first
-                (fun c -> (not c.dead) && msg_matches_posted c.msg p)
-                ix.order
-        in
-        match found with
-        | None -> None
-        | Some c ->
-            c.dead <- true;
-            ix.live <- ix.live - 1;
-            compact ix;
-            Some c.msg)
+    let found =
+      match (p.p_src, p.p_tag) with
+      | Some s, Some tg -> (
+          match Hashtbl.find_opt t.buckets (s, tg, p.p_comm) with
+          | None -> None
+          | Some dq -> pop_live dq)
+      | _ ->
+          (* Wildcard: earliest arrival wins, so scan the master deque.
+             The cell found is necessarily at the live head of its own
+             bucket; mark it dead and let that bucket skip it later. *)
+          drop_dead_head t.order;
+          Util.Deque.find_first
+            (fun c -> (not c.dead) && msg_matches_posted c.msg p)
+            t.order
+    in
+    match found with
+    | None -> None
+    | Some c ->
+        c.dead <- true;
+        t.live <- t.live - 1;
+        compact t;
+        Some c.msg
 
-  let bucket_count = function
-    | Indexed ix -> Hashtbl.length ix.buckets
-    | Reference _ -> 0
-
-  let raw_length = function
-    | Indexed ix -> Util.Deque.length ix.order
-    | Reference l -> List.length !l
+  let bucket_count t = Hashtbl.length t.buckets
+  let raw_length t = Util.Deque.length t.order
 end
 
 (* ------------------------------------------------------------------ *)
@@ -164,22 +128,14 @@ module Posted = struct
 
   let any = min_int (* wildcard slot in a bucket key; never a valid rank/tag *)
 
-  type indexed = {
+  type t = {
     mutable next_seq : int;
     mutable live : int;
     buckets : (int * int * int, cell Util.Deque.t) Hashtbl.t;
   }
 
-  type t = Indexed of indexed | Reference of posted list ref
-
-  let create : impl -> t = function
-    | `Indexed ->
-        Indexed { next_seq = 0; live = 0; buckets = Hashtbl.create 64 }
-    | `Reference -> Reference (ref [])
-
-  let length = function
-    | Indexed ix -> ix.live
-    | Reference l -> List.length !l
+  let create () = { next_seq = 0; live = 0; buckets = Hashtbl.create 64 }
+  let length t = t.live
 
   let key_of (p : posted) =
     ( (match p.p_src with Some s -> s | None -> any),
@@ -187,21 +143,18 @@ module Posted = struct
       p.p_comm )
 
   let add t p =
-    match t with
-    | Reference l -> l := !l @ [ p ]
-    | Indexed ix ->
-        let cell = { post = p; seq = ix.next_seq } in
-        ix.next_seq <- ix.next_seq + 1;
-        ix.live <- ix.live + 1;
-        Util.Deque.push_back (bucket ix.buckets (key_of p)) cell
+    let cell = { post = p; seq = t.next_seq } in
+    t.next_seq <- t.next_seq + 1;
+    t.live <- t.live + 1;
+    Util.Deque.push_back (bucket t.buckets (key_of p)) cell
 
   let candidate_keys ~src ~tag ~comm =
     [ (src, tag, comm); (src, any, comm); (any, tag, comm); (any, any, comm) ]
 
-  let best_bucket ix ~src ~tag ~comm =
+  let best_bucket t ~src ~tag ~comm =
     List.fold_left
       (fun best key ->
-        match Hashtbl.find_opt ix.buckets key with
+        match Hashtbl.find_opt t.buckets key with
         | None -> best
         | Some dq -> (
             match Util.Deque.peek_front dq with
@@ -214,42 +167,13 @@ module Posted = struct
       (candidate_keys ~src ~tag ~comm)
 
   let take t ~src ~tag ~comm =
-    match t with
-    | Reference l -> (
-        let matches (p : posted) =
-          msg_matches_posted
-            {
-              m_src = src; m_dst = -1; m_tag = tag; m_bytes = 0; m_comm = comm;
-              m_protocol = Eager; m_arrival = 0.; m_send_req = -1;
-              m_reserved = false;
-            }
-            p
-        in
-        match take_first matches !l with
-        | Some (p, rest) ->
-            l := rest;
-            Some p
-        | None -> None)
-    | Indexed ix -> (
-        match best_bucket ix ~src ~tag ~comm with
-        | None -> None
-        | Some (c, dq) ->
-            ignore (Util.Deque.pop_front dq);
-            ix.live <- ix.live - 1;
-            Some c.post)
+    match best_bucket t ~src ~tag ~comm with
+    | None -> None
+    | Some (c, dq) ->
+        ignore (Util.Deque.pop_front dq);
+        t.live <- t.live - 1;
+        Some c.post
 
-  let mem t ~src ~tag ~comm =
-    match t with
-    | Reference l ->
-        List.exists
-          (fun (p : posted) ->
-            p.p_comm = comm
-            && (match p.p_src with None -> true | Some s -> s = src)
-            && match p.p_tag with None -> true | Some t' -> t' = tag)
-          !l
-    | Indexed ix -> best_bucket ix ~src ~tag ~comm <> None
-
-  let bucket_count = function
-    | Indexed ix -> Hashtbl.length ix.buckets
-    | Reference _ -> 0
+  let mem t ~src ~tag ~comm = best_bucket t ~src ~tag ~comm <> None
+  let bucket_count t = Hashtbl.length t.buckets
 end

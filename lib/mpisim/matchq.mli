@@ -6,18 +6,16 @@
     receive that accepts it.  Both directions admit wildcards
     ([MPI_ANY_SOURCE] / [MPI_ANY_TAG]) on the receive side only.
 
-    Two interchangeable implementations back each queue:
+    Each queue is a hash index keyed by (src, tag, comm) over
+    {!Util.Deque} FIFOs, giving amortized O(1) matching for concrete
+    patterns.  Wildcard receives still scan in arrival order (the
+    engine's deterministic wildcard policy), and an arriving message
+    checks at most the four posted-pattern buckets that could accept it.
 
-    - [`Indexed] — a hash index keyed by (src, tag, comm) over
-      {!Util.Deque} FIFOs, giving amortized O(1) matching for concrete
-      patterns.  Wildcard receives still scan in arrival order (the
-      engine's deterministic wildcard policy), and an arriving message
-      checks at most the four posted-pattern buckets that could accept it.
-    - [`Reference] — the original O(n) list scan, kept as the semantic
-      oracle for differential tests and for the perf harness's baseline.
-
-    Both produce identical matches on every input; [test/test_engine.ml]
-    asserts this across the full application registry. *)
+    The original O(n) list scans live outside the production libraries,
+    in the [reference] library under [test/reference/]; the queue-level
+    differential in [test/test_engine.ml] checks that both make the same
+    match on random interleavings of adds, takes and probes. *)
 
 type protocol = Eager | Rendezvous
 
@@ -44,14 +42,12 @@ type posted = {
 (** Does message [m] satisfy posted pattern [p]? *)
 val msg_matches_posted : msg -> posted -> bool
 
-type impl = [ `Indexed | `Reference ]
-
 (** Unexpected-message queue: messages that arrived before a matching
     receive was posted, consumed in arrival order. *)
 module Unexpected : sig
   type t
 
-  val create : impl -> t
+  val create : unit -> t
   val length : t -> int
   val add : t -> msg -> unit
 
@@ -60,8 +56,7 @@ module Unexpected : sig
   val take : t -> posted -> msg option
 
   (** Observability depths.  [bucket_count] is the number of allocated
-      (src, tag, comm) index buckets ([0] for [`Reference], which has no
-      index); [raw_length] is the master arrival deque's physical length
+      (src, tag, comm) index buckets; [raw_length] is the master arrival deque's physical length
       including dead cells — [raw_length t - length t] measures garbage
       awaiting compaction. *)
   val bucket_count : t -> int
@@ -74,7 +69,7 @@ end
 module Posted : sig
   type t
 
-  val create : impl -> t
+  val create : unit -> t
   val length : t -> int
   val add : t -> posted -> unit
 
@@ -85,7 +80,6 @@ module Posted : sig
   (** Non-destructive: would [take] succeed? *)
   val mem : t -> src:int -> tag:int -> comm:int -> bool
 
-  (** Allocated pattern-shape buckets in the index; [0] for
-      [`Reference]. *)
+  (** Allocated pattern-shape buckets in the index. *)
   val bucket_count : t -> int
 end

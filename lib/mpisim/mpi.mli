@@ -20,10 +20,8 @@ val run :
   ?fault:Fault.t ->
   ?max_events:int ->
   ?max_virtual_time:float ->
-  ?matcher:Matchq.impl ->
   ?coll_alg:Coll_alg.t ->
   ?obs:Obs.Sink.t ->
-  ?obs_sample_every:int ->
   nranks:int ->
   (ctx -> unit) ->
   Engine.outcome

@@ -7,54 +7,20 @@
    current position.  Both orders are preserved, so the per-rank
    projections of the result equal the inputs.
 
-   Two implementations of that contract:
+   The scan is indexed: the unconsumed global nodes are bucketed by
+   structural hash, keyed by position.  [Tnode.equiv a b] implies
+   [Tnode.hash a = Tnode.hash b] (the leaf hash covers exactly the fields
+   [Event.mergeable] compares; the loop hash covers count and body hash,
+   both required by equivalence), so scanning a node's hash bucket in
+   ascending position order visits exactly the candidates a linear scan
+   of the window could accept, in the same order — the greedy,
+   bounded-lookahead, order-preserving result is the linear scan's,
+   while each probe costs O(1) expected.  The linear scan itself is the
+   differential oracle in the [reference] library (test/reference/). *)
 
-   - [`Reference]: the original linear scan — O(len(incoming) * lookahead)
-     [Tnode.equiv] probes per rank, the cost cliff on traces with many
-     distinct behaviours (NPB MG's 1382 RSDs).
-   - [`Indexed] (default): bucket the unconsumed global nodes by
-     structural hash, keyed by position.  [Tnode.equiv a b] implies
-     [Tnode.hash a = Tnode.hash b] (the leaf hash covers exactly the
-     fields [Event.mergeable] compares; the loop hash covers count and
-     body hash, both required by equivalence), so scanning a node's hash
-     bucket in ascending position order visits exactly the candidates the
-     reference scan could accept, in the same order — the greedy,
-     bounded-lookahead, order-preserving semantics are byte-identical
-     while each probe costs O(1) expected. *)
+let lookahead = 256
 
-type impl = [ `Indexed | `Reference ]
-
-let merge_into_global_reference ~nranks ~lookahead global incoming =
-  let rec find_match n candidates depth =
-    match candidates with
-    | [] -> None
-    | g :: rest ->
-        if Tnode.equiv g n then Some depth
-        else if depth + 1 >= lookahead then None
-        else find_match n rest (depth + 1)
-  in
-  let rec go acc global incoming =
-    match incoming with
-    | [] -> List.rev_append acc global
-    | n :: in_rest -> (
-        match find_match n global 0 with
-        | Some depth ->
-            (* consume global nodes up to and including the match *)
-            let rec consume acc global d =
-              match (global, d) with
-              | g :: g_rest, 0 ->
-                  Tnode.absorb ~nranks ~into:g n;
-                  (g :: acc, g_rest)
-              | g :: g_rest, d -> consume (g :: acc) g_rest (d - 1)
-              | [], _ -> assert false
-            in
-            let acc, g_rest = consume acc global depth in
-            go acc g_rest in_rest
-        | None -> go (n :: acc) global in_rest)
-  in
-  go [] global incoming
-
-let merge_into_global_indexed ~nranks ~lookahead global incoming =
+let merge_into_global ~nranks global incoming =
   let g = Array.of_list global in
   let glen = Array.length g in
   (* hash -> unconsumed positions, ascending.  Consumption is a strict
@@ -106,18 +72,13 @@ let merge_into_global_indexed ~nranks ~lookahead global incoming =
   done;
   List.rev !out
 
-let merge_into_global ~impl ~nranks ~lookahead global incoming =
-  match impl with
-  | `Reference -> merge_into_global_reference ~nranks ~lookahead global incoming
-  | `Indexed -> merge_into_global_indexed ~nranks ~lookahead global incoming
-
-let merge_node_lists ?(impl = `Indexed) ?(lookahead = 256) ~nranks segments =
+let merge_node_lists ~nranks segments =
   List.fold_left
     (fun global seg ->
-      merge_into_global ~impl ~nranks ~lookahead global (List.map Tnode.copy seg))
+      merge_into_global ~nranks global (List.map Tnode.copy seg))
     [] segments
 
-let merge ?(impl = `Indexed) ?(lookahead = 256) ~nranks ~comms locals =
+let merge ~nranks ~comms locals =
   (* absorb mutates the nodes it merges, so each rank is deep-copied just
      before it is folded in — peak extra memory is one rank's working copy
      (plus whatever the copy contributed to the global), not a second copy
@@ -125,8 +86,7 @@ let merge ?(impl = `Indexed) ?(lookahead = 256) ~nranks ~comms locals =
   let global =
     Array.fold_left
       (fun global local ->
-        merge_into_global ~impl ~nranks ~lookahead global
-          (List.map Tnode.copy local))
+        merge_into_global ~nranks global (List.map Tnode.copy local))
       [] locals
   in
   let global = Tnode.map_leaves (fun e -> Event.generalize ~nranks e; e) global in

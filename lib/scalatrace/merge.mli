@@ -10,17 +10,13 @@
     trace's size proportional to the number of *distinct behaviours*, not
     to the rank count. *)
 
-type impl = [ `Indexed | `Reference ]
-(** Alignment-scan implementation.  [`Indexed] (default) buckets
-    unconsumed global nodes by structural hash so each incoming node
-    probes only its equivalence candidates — O(distinct behaviours)
-    instead of O(behaviours x lookahead).  [`Reference] is the original
-    linear scan, kept as a differential-testing oracle; both produce
-    byte-identical traces. *)
+val lookahead : int
+(** Alignment window: an incoming node is matched only against the next
+    [lookahead] (256) unconsumed global nodes.  The scan is indexed by
+    structural hash, so each probe costs O(1) expected instead of
+    O(lookahead). *)
 
 val merge :
-  ?impl:impl ->
-  ?lookahead:int ->
   nranks:int ->
   comms:(int * Util.Rank_set.t) list ->
   Tnode.t list array ->
@@ -29,5 +25,4 @@ val merge :
 (** [merge_node_lists ~nranks segments] — the greedy alignment alone:
     merge several (per-rank) node lists into one, unioning compatible
     nodes.  Inputs are deep-copied; peers are left un-generalized. *)
-val merge_node_lists :
-  ?impl:impl -> ?lookahead:int -> nranks:int -> Tnode.t list list -> Tnode.t list
+val merge_node_lists : nranks:int -> Tnode.t list list -> Tnode.t list

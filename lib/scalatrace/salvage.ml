@@ -18,7 +18,6 @@ type rank_recovery = {
 }
 
 type report = {
-  format_version : int;
   frames_seen : int;
   frames_dropped : int;
   ranks_missing : int list;
@@ -44,8 +43,7 @@ let events_lost r =
 let report_to_string r =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "salvage report (format v%d): %d/%d frames intact"
-       r.format_version
+    (Printf.sprintf "salvage report (format v2): %d/%d frames intact"
        (r.frames_seen - r.frames_dropped)
        r.frames_seen);
   (match events_lost r with
@@ -164,8 +162,7 @@ let keep_known_comms ~comms nodes =
   let ns = filter nodes in
   (ns, !dropped)
 
-let of_framed_tolerant ?path text =
-  ignore path;
+let of_framed text =
   let frames, seen, dropped, terminated = scan_tolerant text in
   (* A missing terminator is lost data even when every surviving frame is
      intact (e.g. a cut right before the timing frame): count it as one
@@ -190,30 +187,45 @@ let of_framed_tolerant ?path text =
       frames
   in
   (* nranks: header frame, else the timing manifest, else the highest
-     surviving rank index. *)
-  let nranks =
+     surviving rank index.  A checksum only proves a count was written:
+     one larger than the file could hold (every rank costs at least one
+     byte, a rank frame far more) is damage, and falls through to the
+     next source. *)
+  let plausible k = k > 0 && k <= String.length text in
+  let highest_rank rs = 1 + List.fold_left (fun a (r, _) -> max a r) 0 rs in
+  let header =
     match find "header" with
     | Some p -> (
         try Some (Trace_io.parse_header_payload p)
         with Trace_io.Format_error _ -> None)
     | None -> None
   in
-  let nranks =
-    match nranks with
-    | Some k -> Some k
-    | None -> (
+  let infer () =
+    let from_timing =
+      match timing with
+      | Some (_, per_rank) when per_rank <> [] -> Some (highest_rank per_rank)
+      | _ -> None
+    in
+    match (from_timing, rank_frames) with
+    | Some k, _ when plausible k -> Some k
+    | _, (_ :: _ as rf) when plausible (highest_rank rf) -> Some (highest_rank rf)
+    | _ -> None
+  in
+  let nranks, dropped =
+    match header with
+    | Some k when plausible k -> (Some k, dropped)
+    | Some k ->
+        note
+          "header frame declares %d ranks, more than the file could hold; \
+           inferring rank count"
+          k;
+        (infer (), dropped + 1)
+    | None ->
         note "header frame lost; inferring rank count";
-        match timing with
-        | Some (_, per_rank) when per_rank <> [] ->
-            Some (1 + List.fold_left (fun a (r, _) -> max a r) 0 per_rank)
-        | _ -> (
-            match rank_frames with
-            | [] -> None
-            | rf -> Some (1 + List.fold_left (fun a (r, _) -> max a r) 0 rf)))
+        (infer (), dropped)
   in
   match nranks with
   | None -> Error "unrecoverable: no header, timing, or rank frames survived"
-  | Some nranks when nranks <= 0 -> Error "unrecoverable: invalid rank count"
   | Some nranks -> (
       let comms =
         match find "comms" with
@@ -285,7 +297,6 @@ let of_framed_tolerant ?path text =
         Ok
           ( trace,
             {
-              format_version = 2;
               frames_seen = seen;
               frames_dropped = dropped;
               ranks_missing = List.rev !ranks_missing;
@@ -293,94 +304,11 @@ let of_framed_tolerant ?path text =
               notes = List.rev !notes;
             } ))
 
-(* ------------------------------------------------------------------ *)
-(* v1 salvage: longest parseable line prefix                            *)
-
-let of_text_tolerant ?path text =
-  ignore path;
-  let lines = String.split_on_char '\n' text in
-  match lines with
-  | magic :: rest when String.trim magic = Trace_io.magic_v1 ->
-      (* headers (nranks/comm) first; cut the body at the first bad line *)
-      let nranks = ref 0 and comms = ref [] in
-      let body = ref [] and header_lines = ref 0 and bad = ref None in
-      (try
-         List.iteri
-           (fun i raw ->
-             let lineno = i + 2 in
-             let line = String.trim raw in
-             if line = "" then ()
-             else
-               match String.split_on_char ' ' line with
-               | "nranks" :: v :: [] when !body = [] -> (
-                   incr header_lines;
-                   match int_of_string_opt v with
-                   | Some k -> nranks := k
-                   | None ->
-                       bad := Some (Printf.sprintf "line %d: bad nranks" lineno);
-                       raise Exit)
-               | "comm" :: id :: members :: [] when !body = [] -> (
-                   incr header_lines;
-                   match int_of_string_opt id with
-                   | Some id -> (
-                       try comms := (id, Trace_io.parse_ranks members) :: !comms
-                       with Trace_io.Format_error _ ->
-                         bad := Some (Printf.sprintf "line %d: bad comm" lineno);
-                         raise Exit)
-                   | None ->
-                       bad := Some (Printf.sprintf "line %d: bad comm id" lineno);
-                       raise Exit)
-               | _ -> body := (lineno, line) :: !body)
-           rest
-       with Exit -> ());
-      if !nranks <= 0 then
-        Error "unrecoverable: v1 trace lost its nranks line"
-      else
-        let body_lines = List.rev_map snd !body in
-        let nodes, truncated, err = Trace_io.parse_nodes_prefix body_lines in
-        let comms =
-          if !comms = [] then [ (0, Util.Rank_set.all !nranks) ]
-          else List.rev !comms
-        in
-        let nodes, dropped_events = keep_known_comms ~comms nodes in
-        let trace = Trace.make ~nranks:!nranks ~comms ~nodes in
-        let notes =
-          List.filter_map Fun.id
-            [
-              !bad;
-              err;
-              (if dropped_events > 0 then
-                 Some
-                   (Printf.sprintf "dropped %d events on unknown communicators"
-                      dropped_events)
-               else None);
-            ]
-        in
-        let degraded = truncated || !bad <> None || dropped_events > 0 in
-        Ok
-          ( trace,
-            {
-              format_version = 1;
-              frames_seen = 0;
-              frames_dropped = 0;
-              ranks_missing = [];
-              per_rank =
-                List.init !nranks (fun r ->
-                    {
-                      rr_rank = r;
-                      rr_events = Tnode.event_count_for nodes ~rank:r;
-                      rr_events_lost = (if degraded then None else Some 0);
-                      rr_truncated = degraded;
-                    });
-              notes;
-            } )
-  | _ -> Error "unrecoverable: no recognizable trace magic"
-
-let of_string ?path text : outcome =
-  if Trace_io.is_framed text then of_framed_tolerant ?path text
-  else of_text_tolerant ?path text
+let of_string text : outcome =
+  if Trace_io.is_framed text then of_framed text
+  else Error "unrecoverable: no recognizable trace magic"
 
 let load ~path : outcome =
   match In_channel.with_open_bin path In_channel.input_all with
-  | text -> of_string ~path text
+  | text -> of_string text
   | exception Sys_error msg -> Error (Printf.sprintf "io error: %s" msg)

@@ -8,8 +8,11 @@
     {!report} of exactly what was recovered and what was lost.  Only
     when no usable content remains does it return [Error].
 
-    Works on both formats: the framed v2 container (per-frame recovery)
-    and the v1 line format (longest-prefix recovery). *)
+    Recovery is per frame of the framed container; input without its
+    magic line is [Error].  A rank count (from the header, the timing
+    manifest or the highest rank-frame index) larger than the file's
+    byte length is treated as damage, so a checksum-valid but absurd
+    header cannot make the loader allocate per-rank state for it. *)
 
 type rank_recovery = {
   rr_rank : int;
@@ -21,9 +24,10 @@ type rank_recovery = {
 }
 
 type report = {
-  format_version : int;  (** 1 or 2 *)
-  frames_seen : int;  (** v2 only; 0 for v1 *)
-  frames_dropped : int;  (** checksum failures + garbled headers *)
+  frames_seen : int;
+  frames_dropped : int;
+      (** checksum failures, garbled headers, a missing terminator, and
+          an implausible header rank count *)
   ranks_missing : int list;  (** ranks whose stream frame vanished *)
   per_rank : rank_recovery list;
   notes : string list;  (** human-readable recovery decisions *)
@@ -40,5 +44,5 @@ val events_lost : report -> int option
 
 val report_to_string : report -> string
 
-val of_string : ?path:string -> string -> outcome
+val of_string : string -> outcome
 val load : path:string -> outcome

@@ -166,17 +166,6 @@ let add_nodes buf depth ns =
   in
   go depth ns
 
-let to_text trace =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "scalatrace-trace 1\n";
-  Buffer.add_string buf (Printf.sprintf "nranks %d\n" (Trace.nranks trace));
-  List.iter
-    (fun (id, members) ->
-      Buffer.add_string buf (Printf.sprintf "comm %d %s\n" id (ranks_to_string members)))
-    (Trace.comms trace);
-  add_nodes buf 0 (Trace.nodes trace);
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Reading                                                              *)
 
@@ -303,23 +292,23 @@ let stack_completed (stack : node_stack) =
 
 let stack_closed (stack : node_stack) = match !stack with [ _ ] -> true | _ -> false
 
-(* Strict node-stream parser over [lines]; line numbers are offset by
-   [lineno0] so errors point into the enclosing file. *)
-let parse_nodes ?src ?(lineno0 = 0) lines =
+(* Strict node-stream parser over [lines]; line numbers count from the
+   first line of the stream. *)
+let parse_nodes ?src lines =
   let stack = fresh_stack () in
   List.iteri
     (fun i raw ->
       let line = String.trim raw in
-      if line <> "" then node_line_step ?src stack (lineno0 + i + 1) line)
+      if line <> "" then node_line_step ?src stack (i + 1) line)
     lines;
   if not (stack_closed stack) then
-    fail ?src (lineno0 + List.length lines) "unterminated loop at end of input";
+    fail ?src (List.length lines) "unterminated loop at end of input";
   stack_completed stack
 
 (* Salvage variant: parse the longest well-formed prefix; never raises.
    Returns the completed nodes, whether the stream was cut short, and the
    first error (if any). *)
-let parse_nodes_prefix ?(lineno0 = 0) lines =
+let parse_nodes_prefix lines =
   let stack = fresh_stack () in
   let error = ref None in
   (try
@@ -327,7 +316,7 @@ let parse_nodes_prefix ?(lineno0 = 0) lines =
        (fun i raw ->
          let line = String.trim raw in
          if line <> "" then
-           try node_line_step stack (lineno0 + i + 1) line
+           try node_line_step stack (i + 1) line
            with Format_error msg ->
              error := Some msg;
              raise Exit)
@@ -335,57 +324,6 @@ let parse_nodes_prefix ?(lineno0 = 0) lines =
    with Exit -> ());
   let truncated = !error <> None || not (stack_closed stack) in
   (stack_completed stack, truncated, !error)
-
-let of_text ?path text =
-  let src = path in
-  let lines = String.split_on_char '\n' text in
-  let nranks = ref 0 in
-  let comms = ref [] in
-  let stack = fresh_stack () in
-  List.iteri
-    (fun i raw ->
-      let lineno = i + 1 in
-      let line = String.trim raw in
-      if line = "" then ()
-      else if lineno = 1 then begin
-        if line <> "scalatrace-trace 1" then
-          fail ?src lineno "not a scalatrace trace (bad magic %S)" line
-      end
-      else
-        match String.index_opt line ' ' with
-        | Some sp
-          when (let w = String.sub line 0 sp in w = "nranks" || w = "comm") -> (
-            let word = String.sub line 0 sp in
-            let rest = String.sub line (sp + 1) (String.length line - sp - 1) in
-            match word with
-            | "nranks" -> (
-                try nranks := int_of_string rest
-                with Failure _ -> fail ?src lineno "bad nranks")
-            | _ -> (
-                match String.split_on_char ' ' rest with
-                | [ id; members ] -> (
-                    try
-                      comms :=
-                        (int_of_string id, ranks_of_string ?src lineno members)
-                        :: !comms
-                    with Failure _ -> fail ?src lineno "bad comm id")
-                | _ -> fail ?src lineno "bad comm line"))
-        | _ -> node_line_step ?src stack lineno line)
-    lines;
-  if not (stack_closed stack) then
-    raise
-      (Format_error
-         (match src with
-         | None -> "unterminated loop at end of input"
-         | Some p -> p ^ ": unterminated loop at end of input"));
-  if !nranks <= 0 then
-    raise
-      (Format_error
-         (match src with
-         | None -> "missing or invalid nranks"
-         | Some p -> p ^ ": missing or invalid nranks"));
-  Trace.make ~nranks:!nranks ~comms:(List.rev !comms)
-    ~nodes:(stack_completed stack)
 
 (* ------------------------------------------------------------------ *)
 (* Framed format v2                                                     *)
@@ -406,8 +344,7 @@ let of_text ?path text =
    byte invalidates one frame, a truncation costs the tail — which is
    what lets {!Salvage} recover every intact section. *)
 
-let magic_v1 = "scalatrace-trace 1"
-let magic_v2 = "scalatrace-frames 2"
+let magic = "scalatrace-frames 2"
 
 let frame_header ~kind ~payload =
   Printf.sprintf "frame %s %d %s" kind (String.length payload)
@@ -446,7 +383,7 @@ let to_framed trace =
     Buffer.add_string buf payload;
     Buffer.add_char buf '\n'
   in
-  Buffer.add_string buf magic_v2;
+  Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
   let nranks = Trace.nranks trace in
   frame "header" (Printf.sprintf "nranks %d" nranks);
@@ -478,8 +415,8 @@ let to_framed trace =
   Buffer.contents buf
 
 let is_framed text =
-  String.length text >= String.length magic_v2
-  && String.sub text 0 (String.length magic_v2) = magic_v2
+  String.length text >= String.length magic
+  && String.sub text 0 (String.length magic) = magic
 
 (* Exact (strict) frame scan: any malformation raises. *)
 let scan_frames_strict ?src text =
@@ -557,19 +494,21 @@ let parse_timing_payload payload =
     (String.split_on_char '\n' payload);
   (!events, List.rev !per_rank)
 
-let parse_ranks ?src s = ranks_of_string ?src 0 s
-
 let rank_of_kind kind =
   if String.length kind > 5 && String.sub kind 0 5 = "rank:" then
     int_of_string_opt (String.sub kind 5 (String.length kind - 5))
   else None
 
-let assemble ?src ~nranks ~comms streams = ignore src; Merge.merge ~nranks ~comms streams
+let assemble ~nranks ~comms streams = Merge.merge ~nranks ~comms streams
 
-let of_framed ?path text =
+let of_string ?path text =
   let src = path in
   if not (is_framed text) then
-    fail ?src 1 "not a framed scalatrace trace (bad magic)";
+    fail ?src 1 "not a scalatrace trace (bad magic %S)"
+      (String.trim
+         (match String.index_opt text '\n' with
+         | Some i -> String.sub text 0 i
+         | None -> text));
   let frames = scan_frames_strict ?src text in
   let find kind = List.assoc_opt kind frames in
   let nranks =
@@ -582,6 +521,16 @@ let of_framed ?path text =
     | Some p -> parse_comms_payload ?src p
     | None -> fail ?src 1 "missing comms frame"
   in
+  (* The header checksum only proves the count was written, not that it
+     is sane: hold it to the rank frames present before allocating. *)
+  let rank_frames =
+    List.fold_left
+      (fun n (kind, _) -> if String.starts_with ~prefix:"rank:" kind then n + 1 else n)
+      0 frames
+  in
+  if rank_frames <> nranks then
+    fail ?src 1 "header declares %d ranks but the file has %d rank frames"
+      nranks rank_frames;
   let streams =
     Array.init nranks (fun r ->
         match find (Printf.sprintf "rank:%d" r) with
@@ -590,7 +539,7 @@ let of_framed ?path text =
             else parse_nodes ?src (String.split_on_char '\n' payload)
         | None -> fail ?src 1 "missing frame for rank %d" r)
   in
-  let trace = assemble ?src ~nranks ~comms streams in
+  let trace = assemble ~nranks ~comms streams in
   (match find "timing" with
   | None -> fail ?src 1 "missing timing frame"
   | Some p ->
@@ -614,11 +563,8 @@ let of_framed ?path text =
 (* ------------------------------------------------------------------ *)
 (* Files                                                                *)
 
-let of_string ?path text =
-  if is_framed text then of_framed ?path text else of_text ?path text
-
-let save ?(format = `V2) trace ~path =
-  let text = match format with `V1 -> to_text trace | `V2 -> to_framed trace in
+let save trace ~path =
+  let text = to_framed trace in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)

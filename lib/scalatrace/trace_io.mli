@@ -1,55 +1,45 @@
 (** Trace (de)serialization.
 
-    Two on-disk formats:
-
-    {b v1} — a line-oriented text format for saving compressed traces to
-    disk and loading them back — the equivalent of ScalaTrace's trace
-    files, which is what gets handed to the benchmark generator in the
-    paper's workflow (Figure 1).  The format stores the full RSD/PRSD
-    structure, communicator table, peers, sizes, tags, and the timing
+    The on-disk format is the equivalent of ScalaTrace's trace files,
+    which is what gets handed to the benchmark generator in the paper's
+    workflow (Figure 1).  It is a framed container (magic line
+    [scalatrace-frames 2]): length-prefixed sections (header /
+    communicator table / one RSD stream per rank / timing manifest),
+    each carrying a CRC-32 over its payload.  Payloads use a
+    line-oriented vocabulary ([loop N] / [event ...] / [end]) that stores
+    the full RSD/PRSD structure, peers, sizes, tags, and the timing
     summaries (count/sum/min/max/first of each histogram; the bucket
     detail is dropped, which only affects quantile reconstruction, not
     the means that drive generation and replay).
 
-    {b v2} — a framed container wrapping the same line vocabulary:
-    length-prefixed sections (header / communicator table / one RSD
-    stream per rank / timing manifest), each carrying a CRC-32 over its
-    payload.  Corruption is localized to one frame, which is what the
-    {!Salvage} loader exploits to recover everything else.  Rank streams
-    are stored as singleton-participant projections with concrete peers
-    (the tracer's own collection shape) and re-merged on load with the
+    Corruption is localized to one frame, which is what the {!Salvage}
+    loader exploits to recover everything else.  Rank streams are stored
+    as singleton-participant projections with concrete peers (the
+    tracer's own collection shape) and re-merged on load with the
     production {!Merge} path.
 
-    [of_text (to_text t)] and [of_framed (to_framed t)] yield traces
-    whose structure, projections, and timing means equal [t]'s. *)
+    [of_string (to_framed t)] yields a trace whose structure,
+    projections, and timing means equal [t]'s. *)
 
 exception Format_error of string
 (** Parse failure; the message includes the offending line number, and
     the file path when the text came from a file. *)
 
-val to_text : Trace.t -> string
-
-val of_text : ?path:string -> string -> Trace.t
-(** Parse the v1 line format.  [path], when given, prefixes error
-    messages. *)
-
 val to_framed : Trace.t -> string
-(** Serialize to the framed v2 container. *)
-
-val of_framed : ?path:string -> string -> Trace.t
-(** Strict v2 parse: any malformed frame header, checksum mismatch,
-    missing section, or manifest disagreement raises {!Format_error}.
-    Use {!Salvage} for tolerant loading. *)
+(** Serialize to the framed container. *)
 
 val of_string : ?path:string -> string -> Trace.t
-(** Auto-detect the format by magic line and dispatch to {!of_text} or
-    {!of_framed}. *)
+(** Strict parse: a missing magic line, any malformed frame header,
+    checksum mismatch, missing section, a header rank count that
+    disagrees with the rank frames present, or a manifest disagreement
+    raises {!Format_error}.  [path], when given, prefixes error
+    messages.  Use {!Salvage} for tolerant loading. *)
 
-val save : ?format:[ `V1 | `V2 ] -> Trace.t -> path:string -> unit
-(** Write [trace] to [path]; defaults to the framed v2 format. *)
+val save : Trace.t -> path:string -> unit
+(** Write [trace] to [path] in the framed format. *)
 
 val load : path:string -> Trace.t
-(** Read either format (auto-detected); errors carry [path].
+(** {!of_string} on the contents of [path]; errors carry [path].
     @raise Format_error on malformed input.
     @raise Sys_error on I/O failure. *)
 
@@ -58,21 +48,13 @@ val load : path:string -> Trace.t
     These are not a stable user-facing API; they exist so the tolerant
     loader shares one grammar with the strict one. *)
 
-val magic_v1 : string
-val magic_v2 : string
-
 val is_framed : string -> bool
-(** True when [text] starts with the v2 magic line. *)
+(** True when [text] starts with the magic line. *)
 
 val frame_header : kind:string -> payload:string -> string
 (** The header line (sans newline) that introduces [payload]. *)
 
-val parse_nodes : ?src:string -> ?lineno0:int -> string list -> Tnode.t list
-(** Strict node-stream (loop/event/end lines) parser.
-    @raise Format_error on any malformed line. *)
-
-val parse_nodes_prefix :
-  ?lineno0:int -> string list -> Tnode.t list * bool * string option
+val parse_nodes_prefix : string list -> Tnode.t list * bool * string option
 (** Longest well-formed prefix of a node stream: completed top-level
     nodes, whether the stream was cut short (parse error or unclosed
     loop), and the first error message if any.  Never raises. *)
@@ -89,15 +71,10 @@ val parse_timing_payload : string -> int option * (int * int) list
 (** Best-effort read of a timing manifest: total event count (if
     present) and per-rank expected event counts.  Never raises. *)
 
-val parse_ranks : ?src:string -> string -> Util.Rank_set.t
-(** Parse a rank-interval list ("0:7:1,16:31:1").
-    @raise Format_error if bad. *)
-
 val rank_of_kind : string -> int option
 (** [rank_of_kind "rank:3"] is [Some 3]; [None] for other kinds. *)
 
 val assemble :
-  ?src:string ->
   nranks:int ->
   comms:(int * Util.Rank_set.t) list ->
   Tnode.t list array ->

@@ -42,16 +42,16 @@ let hook t =
 
 let local_traces t = Array.map Compress.contents t.compressors
 
-let finish ?merge_impl t =
+let finish t =
   let locals = local_traces t in
   let comms = List.sort compare t.comms in
-  Merge.merge ?impl:merge_impl ~nranks:t.nranks ~comms locals
+  Merge.merge ~nranks:t.nranks ~comms locals
 
-let trace_run ?window ?merge_impl ?net ?fault ?max_events ?max_virtual_time
-    ?coll_alg ?obs ?(extra_hooks = []) ~nranks program =
-  let t = create ?window ~nranks () in
+let trace_run ?net ?fault ?max_events ?max_virtual_time ?coll_alg ?obs
+    ?(extra_hooks = []) ~nranks program =
+  let t = create ~nranks () in
   let outcome =
     Mpisim.Mpi.run ~hooks:(hook t :: extra_hooks) ?net ?fault ?max_events
       ?max_virtual_time ?coll_alg ?obs ~nranks program
   in
-  (finish ?merge_impl t, outcome)
+  (finish t, outcome)

@@ -10,6 +10,8 @@
 
 type t
 
+(** [create ?window ~nranks ()] — [window] bounds the loop-body length
+    each rank's compressor can detect ({!Compress.create}, default 64). *)
 val create : ?window:int -> nranks:int -> unit -> t
 
 val hook : t -> Mpisim.Hooks.t
@@ -18,20 +20,18 @@ val hook : t -> Mpisim.Hooks.t
 val local_traces : t -> Tnode.t list array
 
 (** Inter-rank merge (the work the paper's ScalaTrace does inside the
-    [MPI_Finalize] wrapper): returns the global trace.  [?merge_impl]
-    selects the {!Merge.impl}; per-rank traces are left untouched, so
-    [finish] can run more than once (e.g. once per implementation for
-    differential testing). *)
-val finish : ?merge_impl:Merge.impl -> t -> Trace.t
+    [MPI_Finalize] wrapper): returns the global trace.  Per-rank traces
+    are left untouched, so [finish] can run more than once, and
+    {!local_traces} can feed a second merge implementation for
+    differential testing. *)
+val finish : t -> Trace.t
 
-(** [trace_run ?window ?net ~nranks program] — convenience: run [program]
-    under the tracer and return the global trace together with the run
-    outcome.  [?fault] and the watchdog budgets are forwarded to
+(** [trace_run ?net ~nranks program] — convenience: run [program] under
+    a tracer with the default compression window and return the global
+    trace together with the run outcome.  [?fault] and the watchdog budgets are forwarded to
     {!Mpisim.Mpi.run}, so applications can be traced under perturbed
     conditions and runaway programs abort with a diagnostic. *)
 val trace_run :
-  ?window:int ->
-  ?merge_impl:Merge.impl ->
   ?net:Mpisim.Netmodel.t ->
   ?fault:Mpisim.Fault.t ->
   ?max_events:int ->

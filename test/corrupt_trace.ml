@@ -1,9 +1,12 @@
 (* Deterministic trace-damage helper for the CLI smoke tests:
 
-     corrupt_trace <in> <out> truncate   # cut at the last frame boundary
-     corrupt_trace <in> <out> flip       # flip one payload byte
+     corrupt_trace <in> <out> truncate     # cut at the last frame boundary
+     corrupt_trace <in> <out> flip         # flip one payload byte
+     corrupt_trace <in> <out> huge-nranks  # header claims 10^11 ranks,
+                                           # checksum recomputed
 
-   Kept dependency-free so the dune rule can build it cheaply. *)
+   Depends only on util (for the CRC) so the dune rule builds it
+   cheaply. *)
 
 let read_all path =
   let ic = open_in_bin path in
@@ -62,9 +65,26 @@ let () =
           let pos = min pos (Bytes.length b - 1) in
           Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x20));
           write_all output (Bytes.to_string b)
+      | "huge-nranks" ->
+          (* the header frame is the first frame: its header line, its
+             payload line, then the next frame *)
+          let start, stop =
+            match bounds with
+            | h :: next :: _ -> (h, next)
+            | _ -> failwith "corrupt_trace: no header frame"
+          in
+          let payload = "nranks 100000000000" in
+          let frame =
+            Printf.sprintf "frame header %d %s\n%s\n" (String.length payload)
+              (Util.Crc32.to_hex (Util.Crc32.string payload))
+              payload
+          in
+          write_all output
+            (String.sub bytes 0 start ^ frame
+            ^ String.sub bytes stop (String.length bytes - stop))
       | m ->
           prerr_endline ("corrupt_trace: unknown mode " ^ m);
           exit 2)
   | _ ->
-      prerr_endline "usage: corrupt_trace <in> <out> truncate|flip";
+      prerr_endline "usage: corrupt_trace <in> <out> truncate|flip|huge-nranks";
       exit 2

@@ -404,88 +404,142 @@ let comm_unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential tests: the hash-indexed matcher must be observationally
-   identical to the original list-scan matcher on every application.  A
-   full outcome comparison (including per-rank finish times, which are
-   bit-exact functions of the match decisions) catches any divergence in
-   matching order. *)
+(* Differential tests: the hash-indexed matching queues against the
+   list-scan oracle {!Reference.Matchq} on random interleavings.  Small
+   src/tag/comm domains make patterns collide, about 30% of receive
+   patterns carry a wildcard, and bursts of adds followed by bursts of
+   removals build queues deep enough for {!Matchq.Unexpected} to compact
+   its arrival deque.  Every result and every length must agree. *)
 
-let check_outcomes_equal name (a : Engine.outcome) (b : Engine.outcome) =
-  Alcotest.(check (float 0.)) (name ^ ": elapsed") a.elapsed b.elapsed;
-  Alcotest.(check (array (float 0.)))
-    (name ^ ": finish_times") a.finish_times b.finish_times;
-  Alcotest.(check int) (name ^ ": events") a.events b.events;
-  Alcotest.(check int) (name ^ ": messages") a.messages b.messages;
-  Alcotest.(check int) (name ^ ": p2p_bytes") a.p2p_bytes b.p2p_bytes;
-  Alcotest.(check int) (name ^ ": unexpected") a.unexpected b.unexpected;
-  Alcotest.(check int) (name ^ ": flow_stalls") a.flow_stalls b.flow_stalls
+let gen_coords =
+  QCheck.Gen.(triple (int_bound 3) (int_bound 2) (int_bound 1))
 
-(* Some app/network combinations legitimately deadlock (the paper's
-   Figure 5 scenario); the two matchers must then produce the *same*
-   diagnostic — its queue depths and times are functions of the match
-   decisions. *)
-let check_same_fate name ?net ~nranks program =
-  let run matcher =
-    match Mpi.run ?net ~matcher ~nranks program with
-    | o -> Ok o
-    | exception Engine.Deadlock m -> Error ("deadlock: " ^ m)
-    | exception Engine.Stalled m -> Error ("stalled: " ^ m)
-  in
-  match (run `Reference, run `Indexed) with
-  | Ok a, Ok b -> check_outcomes_equal name a b
-  | Error a, Error b -> Alcotest.(check string) (name ^ ": diagnostic") a b
-  | Ok _, Error e | Error e, Ok _ ->
-      Alcotest.failf "%s: one matcher completed, the other raised: %s" name e
+let gen_pattern =
+  QCheck.Gen.(
+    let* src, tag, comm = gen_coords in
+    frequency
+      [
+        (7, return (Some src, Some tag, comm));
+        (1, return (None, Some tag, comm));
+        (1, return (Some src, None, comm));
+        (1, return (None, None, comm));
+      ])
 
-(* Wildcard receives racing concrete ones, several tags per peer, and an
-   unexpected-queue drain out of arrival order — the cases where indexed
-   and list matching could plausibly disagree. *)
-let wildcard_stress (ctx : Mpi.ctx) =
-  let n = ctx.nranks in
-  if ctx.rank = 0 then begin
-    for _ = 1 to (n - 1) * 2 do
-      ignore (Mpi.recv ctx ~src:Call.Any_source ~tag:Call.Any_tag ~bytes:64)
-    done;
-    for r = n - 1 downto 1 do
-      ignore (Mpi.recv ctx ~src:(Call.Rank r) ~tag:(Call.Tag 7) ~bytes:64)
-    done;
-    Mpi.finalize ctx
-  end
-  else begin
-    Mpi.send ctx ~dst:0 ~tag:ctx.rank ~bytes:64;
-    Mpi.send ctx ~dst:0 ~tag:(100 + ctx.rank) ~bytes:64;
-    Mpi.compute ctx (0.001 *. float_of_int ctx.rank);
-    Mpi.send ctx ~dst:0 ~tag:7 ~bytes:64;
-    Mpi.finalize ctx
-  end
+(* One to eight bursts, each up to 60 adds then up to 80 removals. *)
+let gen_bursts ~add ~remove =
+  QCheck.Gen.(
+    let burst =
+      let* adds = int_bound 60 and* removes = int_bound 80 in
+      let* a = list_repeat adds add and* r = list_repeat removes remove in
+      return (a @ r)
+    in
+    let* n = int_range 1 8 in
+    map List.concat (list_repeat n burst))
+
+let show_pattern (s, t, c) =
+  let f = function None -> "*" | Some v -> string_of_int v in
+  Printf.sprintf "(%s,%s,%d)" (f s) (f t) c
+
+type u_op = U_add of int * int * int | U_take of (int option * int option * int)
+
+let show_u_op = function
+  | U_add (s, t, c) -> Printf.sprintf "add(%d,%d,%d)" s t c
+  | U_take p -> "take" ^ show_pattern p
+
+let u_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_u_op ops))
+    (gen_bursts
+       ~add:(QCheck.Gen.map (fun (s, t, c) -> U_add (s, t, c)) gen_coords)
+       ~remove:(QCheck.Gen.map (fun p -> U_take p) gen_pattern))
+
+(* Concrete takes never shorten the master deque except by compacting
+   it, so a shorter deque after one counts a compaction. *)
+let u_compactions = ref 0
+
+let unexpected_agrees ops =
+  let ix = Matchq.Unexpected.create () and rf = Reference.Matchq.Unexpected.create () in
+  let id = ref 0 in
+  List.for_all
+    (fun op ->
+      match op with
+      | U_add (m_src, m_tag, m_comm) ->
+          incr id;
+          let m =
+            {
+              Matchq.m_src; m_dst = 0; m_tag; m_bytes = 8; m_comm;
+              m_protocol = Matchq.Eager; m_arrival = 0.; m_send_req = !id;
+              m_reserved = false;
+            }
+          in
+          Matchq.Unexpected.add ix m;
+          Reference.Matchq.Unexpected.add rf m;
+          Matchq.Unexpected.length ix = Reference.Matchq.Unexpected.length rf
+      | U_take (p_src, p_tag, p_comm) ->
+          let p = { Matchq.p_req = 0; p_src; p_tag; p_comm; p_time = 0. } in
+          let raw = Matchq.Unexpected.raw_length ix in
+          let got = Matchq.Unexpected.take ix p in
+          if p_src <> None && p_tag <> None && Matchq.Unexpected.raw_length ix < raw
+          then incr u_compactions;
+          let req = Option.map (fun (m : Matchq.msg) -> m.m_send_req) in
+          req got = req (Reference.Matchq.Unexpected.take rf p)
+          && Matchq.Unexpected.length ix = Reference.Matchq.Unexpected.length rf)
+    ops
+
+type p_op = P_add of (int option * int option * int) | P_take of int * int * int | P_mem of int * int * int
+
+let show_p_op = function
+  | P_add p -> "post" ^ show_pattern p
+  | P_take (s, t, c) -> Printf.sprintf "take(%d,%d,%d)" s t c
+  | P_mem (s, t, c) -> Printf.sprintf "mem(%d,%d,%d)" s t c
+
+let p_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_p_op ops))
+    (gen_bursts
+       ~add:(QCheck.Gen.map (fun p -> P_add p) gen_pattern)
+       ~remove:
+         QCheck.Gen.(
+           let* s, t, c = gen_coords in
+           frequency [ (3, return (P_take (s, t, c))); (1, return (P_mem (s, t, c))) ]))
+
+let posted_agrees ops =
+  let ix = Matchq.Posted.create () and rf = Reference.Matchq.Posted.create () in
+  let id = ref 0 in
+  List.for_all
+    (fun op ->
+      match op with
+      | P_add (p_src, p_tag, p_comm) ->
+          incr id;
+          let p = { Matchq.p_req = !id; p_src; p_tag; p_comm; p_time = 0. } in
+          Matchq.Posted.add ix p;
+          Reference.Matchq.Posted.add rf p;
+          Matchq.Posted.length ix = Reference.Matchq.Posted.length rf
+      | P_take (src, tag, comm) ->
+          let req = Option.map (fun (p : Matchq.posted) -> p.p_req) in
+          req (Matchq.Posted.take ix ~src ~tag ~comm)
+          = req (Reference.Matchq.Posted.take rf ~src ~tag ~comm)
+          && Matchq.Posted.length ix = Reference.Matchq.Posted.length rf
+      | P_mem (src, tag, comm) ->
+          Matchq.Posted.mem ix ~src ~tag ~comm
+          = Reference.Matchq.Posted.mem rf ~src ~tag ~comm)
+    ops
+
+let check_prop ~seed ~name arb prop =
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| seed |])
+    (QCheck.Test.make ~name ~count:250 arb prop)
 
 let differential_tests =
   [
-    t "indexed matcher = reference across the app registry" (fun () ->
-        List.iter
-          (fun (app : Apps.Registry.app) ->
-            let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
-            check_same_fate
-              (Printf.sprintf "%s p=%d" app.name nranks)
-              ~nranks (app.program ()))
-          Apps.Registry.all);
-    t "indexed matcher = reference under flow control (small buffers)" (fun () ->
-        let net = Netmodel.ethernet_cluster in
-        List.iter
-          (fun name ->
-            let app = Option.get (Apps.Registry.find name) in
-            let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
-            check_same_fate
-              (Printf.sprintf "%s p=%d ethernet" name nranks)
-              ~net ~nranks (app.program ()))
-          [ "ring"; "stencil2d"; "sweep3d" ]);
-    t "indexed matcher = reference on wildcard stress" (fun () ->
-        List.iter
-          (fun nranks ->
-            check_same_fate
-              (Printf.sprintf "wildcard stress p=%d" nranks)
-              ~nranks wildcard_stress)
-          [ 4; 16; 32 ]);
+    t "unexpected queue = list-scan reference on 250 random interleavings"
+      (fun () ->
+        u_compactions := 0;
+        check_prop ~seed:20261017 ~name:"unexpected" u_ops unexpected_agrees;
+        Alcotest.(check bool) "some sequences compact the arrival deque" true
+          (!u_compactions > 0));
+    t "posted queue = list-scan reference on 250 random interleavings"
+      (fun () -> check_prop ~seed:20261018 ~name:"posted" p_ops posted_agrees);
   ]
 
 let suite =

@@ -252,10 +252,10 @@ let watchdog_tests =
 
 let reference_trace_text () =
   let trace, _ = Scalatrace.Tracer.trace_run ~nranks:4 ring in
-  Scalatrace.Trace_io.to_text trace
+  Scalatrace.Trace_io.to_framed trace
 
 let parses_or_format_error text =
-  match Scalatrace.Trace_io.of_text text with
+  match Scalatrace.Trace_io.of_string text with
   | _ -> true
   | exception Scalatrace.Trace_io.Format_error _ -> true
   | exception _ -> false
@@ -264,7 +264,7 @@ let trace_io_tests =
   [
     t "round trip of the reference trace" (fun () ->
         let text = reference_trace_text () in
-        let trace = Scalatrace.Trace_io.of_text text in
+        let trace = Scalatrace.Trace_io.of_string text in
         Alcotest.(check int) "nranks" 4 (Scalatrace.Trace.nranks trace));
     t "every truncation is Ok or Format_error" (fun () ->
         let text = reference_trace_text () in

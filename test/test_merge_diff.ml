@@ -3,7 +3,7 @@
 
    The hash index inside {!Scalatrace.Merge} is a pure lookup structure:
    for every application the merged trace must be byte-identical to what
-   the reference list-scan implementation produces, and per-rank
+   the linear-scan oracle {!Reference.Merge} produces, and per-rank
    projections must still equal the per-rank input streams.  The
    alignment side gets a wide-communicator exercise (the O(1) arrival
    bookkeeping) and unit tests for the overflow-safe rounded byte mean. *)
@@ -12,10 +12,14 @@ open Scalatrace
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* Trace once, merge twice: [finish] leaves per-rank traces untouched. *)
+(* Trace once, merge twice: [finish] leaves per-rank traces untouched, so
+   the oracle merges the same [local_traces]. *)
 let finish_both tr =
-  let reference = Tracer.finish ~merge_impl:`Reference tr in
-  let indexed = Tracer.finish ~merge_impl:`Indexed tr in
+  let indexed = Tracer.finish tr in
+  let reference =
+    Reference.Merge.merge ~nranks:(Trace.nranks indexed)
+      ~comms:(Trace.comms indexed) (Tracer.local_traces tr)
+  in
   (reference, indexed)
 
 let check_identical ~nranks locals reference indexed =

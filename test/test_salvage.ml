@@ -1,13 +1,12 @@
-(* The resilient-ingestion layer: framed (v2) round trips, v1 -> v2
-   migration, golden frame headers, the salvage loader, degraded-mode
-   generation, and the corruption-fuzz contract. *)
+(* The resilient-ingestion layer: framed (v2) round trips, golden frame
+   headers, the salvage loader, degraded-mode generation, and the
+   corruption-fuzz contract. *)
 
 open Scalatrace
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* Same structural signature as test_trace_io: per-rank event sequences
-   plus shape counters. *)
+(* Structural signature: per-rank event sequences plus shape counters. *)
 let seq_sig trace rank =
   let out = ref [] in
   let rec go cursor =
@@ -39,7 +38,7 @@ let app_trace ?(nranks = 8) name =
   in
   trace
 
-(* v2 round trip for one registry app: the framed bytes must reload to a
+(* Round trip for one registry app: the framed bytes must reload to a
    structurally identical trace, and re-saving must be byte-stable. *)
 let framed_roundtrip name =
   t (name ^ " framed (v2) round trip is byte-stable") (fun () ->
@@ -48,14 +47,6 @@ let framed_roundtrip name =
       let trace' = Trace_io.of_string bytes in
       Alcotest.(check bool) "round-trip" true (roundtrip_equal trace trace');
       Alcotest.(check string) "byte-stable" bytes (Trace_io.to_framed trace'))
-
-(* v1 -> v2 migration: load the line format, save framed, reload. *)
-let migration name =
-  t (name ^ " v1 -> v2 migration preserves the trace") (fun () ->
-      let trace = app_trace name in
-      let via_v1 = Trace_io.of_text (Trace_io.to_text trace) in
-      let via_v2 = Trace_io.of_string (Trace_io.to_framed via_v1) in
-      Alcotest.(check bool) "identity" true (roundtrip_equal trace via_v2))
 
 let all_app_names =
   List.map (fun (a : Apps.Registry.app) -> a.name) Apps.Registry.all
@@ -109,6 +100,20 @@ let with_temp_file bytes f =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc bytes);
       f path)
+
+let frame kind payload =
+  Trace_io.frame_header ~kind ~payload ^ "\n" ^ payload ^ "\n"
+
+(* [trace]'s framed bytes with the header frame payload replaced by
+   [payload] under a recomputed checksum: damage no CRC can see. *)
+let with_header trace payload =
+  let bytes = Trace_io.to_framed trace in
+  let magic = "scalatrace-frames 2\n" in
+  let old = magic ^ frame "header" (Printf.sprintf "nranks %d" (Trace.nranks trace)) in
+  Alcotest.(check string) "header frame leads" old
+    (String.sub bytes 0 (String.length old));
+  magic ^ frame "header" payload
+  ^ String.sub bytes (String.length old) (String.length bytes - String.length old)
 
 let run_pipeline ~recovery path =
   Benchgen.Pipeline.run
@@ -174,18 +179,47 @@ let unit_tests =
                   true
                   (seq_sig trace r = seq_sig trace' r))
               [ 0; 1; 3 ]);
-    t "salvage of a v1 body truncation recovers a prefix" (fun () ->
+    t "strict load rejects a header rank count the frames do not back"
+      (fun () ->
         let trace = app_trace "ring" ~nranks:4 in
-        let text = Trace_io.to_text trace in
-        let cut = String.sub text 0 (String.length text * 2 / 3) in
-        match Salvage.of_string cut with
+        let crafted = with_header trace "nranks 100000000000" in
+        (match Trace_io.of_string crafted with
+        | _ -> Alcotest.fail "strict loader accepted nranks 100000000000"
+        | exception Trace_io.Format_error _ -> ());
+        with_temp_file crafted (fun path ->
+            match run_pipeline ~recovery:`Strict path with
+            | Error (Benchgen.Pipeline.E_trace_format _) -> ()
+            | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
+            | Ok _ -> Alcotest.fail "strict mode accepted the header"));
+    t "salvage treats an implausible header rank count as damage" (fun () ->
+        let trace = app_trace "ring" ~nranks:4 in
+        let crafted = with_header trace "nranks 100000000000" in
+        (match Salvage.of_string crafted with
         | Error m -> Alcotest.fail m
         | Ok (trace', report) ->
-            Alcotest.(check int) "v1" 1 report.format_version;
             Alcotest.(check bool) "degraded" true (Salvage.is_degraded report);
-            Alcotest.(check bool)
-              "prefix only" true
-              (Trace.event_count trace' <= Trace.event_count trace));
+            Alcotest.(check int) "nranks from the manifest" 4
+              (Trace.nranks trace');
+            Alcotest.(check bool) "streams intact" true
+              (roundtrip_equal trace trace'));
+        with_temp_file crafted (fun path ->
+            List.iter
+              (fun recovery ->
+                match run_pipeline ~recovery path with
+                | Ok _ -> ()
+                | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e))
+              [ `Salvage; `Best_effort ]));
+    t "salvage refuses when no source gives a plausible rank count" (fun () ->
+        let crafted =
+          "scalatrace-frames 2\n"
+          ^ frame "header" "nranks 100000000000"
+          ^ frame "rank:99999999999" ""
+          ^ "frame end 0 00000000\n"
+        in
+        match Salvage.of_string crafted with
+        | Error _ -> ()
+        | Ok (trace', _) ->
+            Alcotest.failf "salvaged a %d-rank trace" (Trace.nranks trace'));
     t "strict pipeline rejects a damaged file" (fun () ->
         let trace = app_trace "ring" ~nranks:4 in
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:0 in
@@ -297,7 +331,4 @@ let unit_tests =
           (s.generated = s.replayed));
   ]
 
-let suite =
-  unit_tests
-  @ List.map framed_roundtrip all_app_names
-  @ List.map migration all_app_names
+let suite = unit_tests @ List.map framed_roundtrip all_app_names

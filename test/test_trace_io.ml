@@ -40,7 +40,7 @@ let app_roundtrip name =
       let app = Option.get (Apps.Registry.find name) in
       let nranks = Apps.Registry.fit_nranks app ~wanted:8 in
       let trace, _ = Tracer.trace_run ~nranks (app.program ~cls:Apps.Params.S ()) in
-      let trace' = Trace_io.of_text (Trace_io.to_text trace) in
+      let trace' = Trace_io.of_string (Trace_io.to_framed trace) in
       Alcotest.(check bool) "round-trip" true (roundtrip_equal trace trace');
       (* timing means must survive *)
       let total t =
@@ -50,13 +50,38 @@ let app_roundtrip name =
       in
       Alcotest.(check (float 1e-9)) "timing sum" (total trace) (total trace'))
 
+(* A framed file assembled frame by frame, for hand-made damage. *)
+let framed frames =
+  "scalatrace-frames 2\n"
+  ^ String.concat ""
+      (List.map
+         (fun (kind, payload) ->
+           Trace_io.frame_header ~kind ~payload ^ "\n" ^ payload ^ "\n")
+         frames)
+  ^ "frame end 0 00000000\n"
+
+(* A one-rank file whose only rank stream is [stream]. *)
+let one_rank stream =
+  framed
+    [
+      ("header", "nranks 1");
+      ("comms", "comm 0 0:0:1");
+      ("rank:0", stream);
+      ("timing", "events 0\nrank 0 0");
+    ]
+
+let rejected text =
+  match Trace_io.of_string text with
+  | _ -> None
+  | exception Trace_io.Format_error msg -> Some msg
+
 let unit_tests =
   [
     t "generation from a reloaded trace is identical" (fun () ->
         let app = Option.get (Apps.Registry.find "lu") in
         let trace, _ = Tracer.trace_run ~nranks:8 (app.program ~cls:Apps.Params.S ()) in
         let direct = report_of ~name:"lu" trace in
-        let reloaded = report_of ~name:"lu" (Trace_io.of_text (Trace_io.to_text trace)) in
+        let reloaded = report_of ~name:"lu" (Trace_io.of_string (Trace_io.to_framed trace)) in
         Alcotest.(check string) "same benchmark" direct.text reloaded.text);
     t "save/load through a file" (fun () ->
         let app = Option.get (Apps.Registry.find "ep") in
@@ -70,26 +95,25 @@ let unit_tests =
               (roundtrip_equal trace (Trace_io.load ~path))));
     t "bad magic rejected" (fun () ->
         Alcotest.(check bool) "raises" true
-          (try
-             ignore (Trace_io.of_text "something else\n");
-             false
-           with Trace_io.Format_error _ -> true));
+          (rejected "something else\n" <> None);
+        (* the retired line format is no longer read *)
+        Alcotest.(check bool) "line format" true
+          (rejected "scalatrace-trace 1\nnranks 1\n" <> None));
     t "unterminated loop rejected" (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Trace_io.of_text "scalatrace-trace 1\nnranks 2\nloop 5\n");
-             false
-           with Trace_io.Format_error _ -> true));
+        Alcotest.(check bool) "raises" true (rejected (one_rank "loop 5") <> None));
     t "unknown op rejected with line number" (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore
-               (Trace_io.of_text
-                  "scalatrace-trace 1\nnranks 2\nevent MPI_Bogus peer=none bytes=0 vec=- tag=0 comm=0 ranks=0:0:1 dt=1;0;0;0;0 site=\"f\" 1 2 \"\"\n");
-             false
-           with Trace_io.Format_error msg ->
-             String.length msg > 0
-             && String.sub msg 0 6 = "line 3"));
+        match
+          rejected
+            (one_rank
+               "loop 2\n\
+               \  event MPI_Bogus peer=none bytes=0 vec=- tag=0 comm=0 \
+                ranks=0:0:1 dt=1;0;0;0;0 site=\"f\" 1 2 \"\"\n\
+                end")
+        with
+        | None -> Alcotest.fail "accepted an unknown operation"
+        | Some msg ->
+            Alcotest.(check string) "line of the stream" "line 2"
+              (String.sub msg 0 (min 6 (String.length msg))));
     t "wildcard and map peers survive" (fun () ->
         let s1 = Mpi.site __POS__ and s2 = Mpi.site __POS__ and s3 = Mpi.site __POS__ in
         let prog (ctx : Mpi.ctx) =
@@ -98,7 +122,7 @@ let unit_tests =
           Mpi.finalize ~site:s3 ctx
         in
         let trace, _ = Tracer.trace_run ~nranks:3 prog in
-        let trace' = Trace_io.of_text (Trace_io.to_text trace) in
+        let trace' = Trace_io.of_string (Trace_io.to_framed trace) in
         Alcotest.(check bool) "still wild" true (Trace.has_wildcards trace'));
   ]
 
