@@ -18,112 +18,22 @@ type outcome = {
   dropped_events : int;
 }
 
-(* A collective wait is keyed by (communicator, participant signature,
-   slot).  The signature is "" for full-communicator collectives — the
-   historical key, byte-compatible behavior — and the comma-joined sorted
-   world participant set for neighborhood collectives, so disjoint
-   participant groups on one communicator advance independently instead
-   of mis-accounting each other's arrival bitmap. *)
-type coll_key = int * string * int
+(* A rank's arrival at a collective: rank, event, cursor past the event. *)
+type arrival = int * Event.t * Traversal.cursor
 
 type node_state = {
-  rank : int;
   mutable cursor : Traversal.cursor;
   mutable finished : bool;
-  mutable blocked : coll_key option;
-  coll_seq : (int * string, int) Hashtbl.t; (* (comm, psig) -> next slot *)
+  mutable blocked : arrival Util.Rendezvous.wait option;
 }
-
-let psig_of (e : Event.t) =
-  match e.Event.parts with
-  | None -> ""
-  | Some ps ->
-      String.concat "," (List.map string_of_int (Array.to_list ps))
-
-(* Collective-wait state is indexed so the hot per-arrival operations are
-   sublinear in the communicator size: arrivals are marked in a bool array
-   over the sorted member list (completion is an O(1) counter compare, not
-   [List.length] vs [cardinal]), and the smallest not-yet-arrived member is
-   found by a monotone scan pointer that advances O(members) in total per
-   wait instead of O(members) per probe. *)
-type coll_wait = {
-  members : Util.Rank_set.t;
-  member_arr : int array; (* members, ascending *)
-  arrived : bool array; (* by [member_arr] position *)
-  partial : bool; (* declared participant set, not the whole communicator *)
-  mutable n_arrived : int;
-  mutable scan : int; (* all positions < scan have arrived *)
-  mutable arrivals : (int * Event.t * Traversal.cursor) list;
-      (* rank, event, cursor past the event *)
-}
-
-let make_wait ?(partial = false) members =
-  let member_arr = Array.of_list (Util.Rank_set.to_list members) in
-  {
-    members;
-    member_arr;
-    arrived = Array.make (Array.length member_arr) false;
-    partial;
-    n_arrived = 0;
-    scan = 0;
-    arrivals = [];
-  }
-
-(* Position of [r] in [w.member_arr], or [None] for a non-member. *)
-let member_pos w r =
-  let arr = w.member_arr in
-  let rec go lo hi =
-    if lo > hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      if arr.(mid) = r then Some mid
-      else if arr.(mid) < r then go (mid + 1) hi
-      else go lo (mid - 1)
-  in
-  go 0 (Array.length arr - 1)
-
-let record_arrival (key : coll_key) w rank event after =
-  let comm, _, slot = key in
-  (match member_pos w rank with
-  | Some pos ->
-      if not w.arrived.(pos) then begin
-        w.arrived.(pos) <- true;
-        w.n_arrived <- w.n_arrived + 1
-      end
-  | None ->
-      if w.partial then
-        raise
-          (Align_error
-             (Printf.sprintf
-                "rank %d arrives at %s on communicator %d (slot %d) but is \
-                 outside the declared participant set {%s}"
-                rank
-                (Event.kind_name event.Event.kind)
-                comm slot
-                (String.concat ","
-                   (List.map string_of_int (Array.to_list w.member_arr)))))
-      else
-        raise
-          (Align_error
-             (Printf.sprintf
-                "rank %d reaches a collective on communicator %d (slot %d) but \
-                 is not a member of that communicator"
-                rank comm slot)));
-  w.arrivals <- (rank, event, after) :: w.arrivals
 
 (* One RSD for the complete participant set, hoisted to a single call
    point (the smallest rank's site). *)
-let merge_collective (key : coll_key) arrivals members =
-  let comm, _, slot = key in
+let merge_collective (key : Util.Rendezvous.key) arrivals members =
+  let { Util.Rendezvous.comm; slot; _ } = key in
   let arrivals = List.sort (fun (a, _, _) (b, _, _) -> compare a b) arrivals in
   match arrivals with
-  | [] ->
-      raise
-        (Align_error
-           (Printf.sprintf
-              "internal: collective on communicator %d (slot %d) completed \
-               with no arrivals"
-              comm slot))
+  | [] -> assert false (* the wait completed at an arrival *)
   | (_, first, _) :: rest ->
       List.iter
         (fun (r, (e : Event.t), _) ->
@@ -206,29 +116,24 @@ let merge_collective (key : coll_key) arrivals members =
    collective, naming the members whose arrival it still needs and — as
    [missing] — those that can never arrive because their stream ended. *)
 let stall_of_waits waits states =
-  let edges = ref [] in
-  Hashtbl.iter
-    (fun ((comm, _, slot) : coll_key) (w : coll_wait) ->
-      let absent = ref [] in
-      for i = Array.length w.member_arr - 1 downto 0 do
-        if not w.arrived.(i) then absent := w.member_arr.(i) :: !absent
-      done;
-      let absent = !absent in
-      let dead = List.filter (fun r -> states.(r).finished) absent in
-      List.iter
-        (fun (r, (e : Event.t), _) ->
-          edges :=
+  let edges =
+    List.concat_map
+      (fun w ->
+        let { Util.Rendezvous.comm; slot; _ } = Util.Rendezvous.key w in
+        let absent = Util.Rendezvous.missing w in
+        let dead = List.filter (fun r -> states.(r).finished) absent in
+        List.map
+          (fun (r, (e : Event.t), _) ->
             Util.Waitgraph.edge ~rank:r
               ~what:
                 (Printf.sprintf "%s at %s (communicator %d, slot %d)"
                    (Event.kind_name e.kind)
                    (Util.Callsite.to_string e.site)
                    comm slot)
-              ~waiting_on:absent ~missing:dead ()
-            :: !edges)
-        w.arrivals)
-    waits;
-  let edges = !edges in
+              ~waiting_on:absent ~missing:dead ())
+          (Util.Rendezvous.arrivals w))
+      (Util.Rendezvous.pending waits)
+  in
   { st_edges = edges; st_missing = Util.Waitgraph.missing_ranks edges }
 
 let stall_message stall =
@@ -255,15 +160,10 @@ let run_policy ?(policy : policy = `Strict) (trace : Trace.t) =
   in
   let states =
     Array.init nranks (fun rank ->
-        {
-          rank;
-          cursor = Traversal.start (Trace.project trace ~rank);
-          finished = false;
-          blocked = None;
-          coll_seq = Hashtbl.create 8;
-        })
+        { cursor = Traversal.start (Trace.project trace ~rank);
+          finished = false; blocked = None })
   in
-  let waits : (coll_key, coll_wait) Hashtbl.t = Hashtbl.create 64 in
+  let waits = Util.Rendezvous.create () in
   let rebuild = Traversal.rebuild_create ~nranks ~comms in
   let next_unfinished from =
     let rec go i tried =
@@ -274,18 +174,6 @@ let run_policy ?(policy : policy = `Strict) (trace : Trace.t) =
     in
     go 0 0
   in
-  (* Smallest group member that has not yet arrived at the collective.
-     Arrivals are permanent for the lifetime of a wait, so the scan
-     pointer only moves forward: total cost O(members) per wait rather
-     than O(members) per probe. *)
-  let next_missing key =
-    let w = Hashtbl.find waits key in
-    let nmem = Array.length w.member_arr in
-    while w.scan < nmem && w.arrived.(w.scan) do
-      w.scan <- w.scan + 1
-    done;
-    if w.scan < nmem then w.member_arr.(w.scan) else assert false
-  in
   (* Jump over nodes blocked on other collectives.  [`Run r] — r can make
      progress; [`Dead] — the chain reached a rank whose stream already
      ended, so the wait can never complete; cycles mean mismatched
@@ -295,28 +183,33 @@ let run_policy ?(policy : policy = `Strict) (trace : Trace.t) =
       let s = states.(r) in
       match s.blocked with
       | None -> if s.finished then `Dead else `Run r
-      | Some key ->
+      | Some w -> (
           if List.mem r seen then
             raise
               (Align_error
                  "cyclic collective dependency across communicators (mismatched \
                   collective ordering in the application)")
-          else go (next_missing key) (r :: seen)
+          else go (Util.Rendezvous.smallest_missing w) (r :: seen))
     in
     go start []
   in
-  let finish_collective key =
-    let w = Hashtbl.find waits key in
-    Hashtbl.remove waits key;
-    let merged = merge_collective key w.arrivals w.members in
-    Traversal.emit_group rebuild ~ranks:w.members merged;
+  let finish_collective w e =
+    let arrivals = Util.Rendezvous.arrivals w in
+    let members =
+      match e.Event.parts with
+      | None -> members_of e.comm
+      | Some _ ->
+          Util.Rank_set.of_list (Array.to_list (Util.Rendezvous.members w))
+    in
+    let merged = merge_collective (Util.Rendezvous.key w) arrivals members in
+    Traversal.emit_group rebuild ~ranks:members merged;
     List.iter
       (fun (r, _, after) ->
         states.(r).blocked <- None;
         states.(r).cursor <- after)
-      w.arrivals;
+      arrivals;
     (* resume at the first (smallest) node blocked on this collective *)
-    List.fold_left (fun acc (r, _, _) -> min acc r) max_int w.arrivals
+    List.fold_left (fun acc (r, _, _) -> min acc r) max_int arrivals
   in
   (* Linear in events for well-formed traces; generous slack for the
      park/resume bookkeeping.  Tripping it means an internal invariant
@@ -346,34 +239,27 @@ let run_policy ?(policy : policy = `Strict) (trace : Trace.t) =
           s.cursor <- after
         end
         else begin
-          let psig = psig_of e in
-          let seq_key = (e.comm, psig) in
-          let slot =
-            Option.value ~default:0 (Hashtbl.find_opt s.coll_seq seq_key)
-          in
-          Hashtbl.replace s.coll_seq seq_key (slot + 1);
-          let key = (e.comm, psig, slot) in
-          let w =
-            match Hashtbl.find_opt waits key with
-            | Some w -> w
-            | None ->
-                let w =
-                  match e.Event.parts with
-                  | Some ps ->
-                      make_wait ~partial:true
-                        (Util.Rank_set.of_list (Array.to_list ps))
-                  | None -> make_wait (members_of e.comm)
-                in
-                Hashtbl.replace waits key w;
-                w
-          in
-          record_arrival key w r e after;
-          if w.n_arrived = Array.length w.member_arr then
-            current := Some (finish_collective key)
-          else begin
-            s.blocked <- Some key;
-            continue_at (Some (resolve_runnable (next_missing key)))
-          end
+          match Traversal.arrive waits ~members_of ~rank:r e (r, e, after) with
+          | Complete w -> current := Some (finish_collective w e)
+          | Parked w ->
+              s.blocked <- Some w;
+              continue_at
+                (Some (resolve_runnable (Util.Rendezvous.smallest_missing w)))
+          | Not_member w ->
+              let { Util.Rendezvous.comm; slot; _ } = Util.Rendezvous.key w in
+              raise
+                (Align_error
+                   (if e.parts <> None then
+                      Printf.sprintf
+                        "rank %d arrives at %s on communicator %d (slot %d) \
+                         but is outside the declared participant set {%s}"
+                        r (Event.kind_name e.kind) comm slot
+                        (Util.Rendezvous.signature (Util.Rendezvous.members w))
+                    else
+                      Printf.sprintf
+                        "rank %d reaches a collective on communicator %d \
+                         (slot %d) but is not a member of that communicator"
+                        r comm slot))
         end
   done;
   match (!stall, policy) with

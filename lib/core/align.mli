@@ -4,7 +4,8 @@
     collective operation; ScalaTrace then records one partial-participant
     RSD per call site.  This pass walks the trace on behalf of every rank,
     parking each rank at each collective until all other members of the
-    communicator arrive, then re-emits a single RSD covering the full
+    communicator arrive (on {!Util.Rendezvous}, the tracker the simulator
+    and {!Wildcard} use too), then re-emits a single RSD covering the full
     participant set — the trace-level equivalent of hoisting the collective
     out of rank conditionals.  Point-to-point events pass through
     unchanged; per-rank event order is preserved; the output is

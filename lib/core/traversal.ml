@@ -29,6 +29,18 @@ let rec peek c =
 
 let consumed c = c.seen
 
+let arrive waits ~members_of ~rank (e : Event.t) payload =
+  let psig = Util.Rendezvous.signature (Option.value e.parts ~default:[||]) in
+  let members () =
+    let set =
+      match e.parts with
+      | Some ps -> Util.Rank_set.of_list (Array.to_list ps)
+      | None -> members_of e.comm
+    in
+    Array.of_list (Util.Rank_set.to_list set)
+  in
+  Util.Rendezvous.arrive waits ~rank ~comm:e.comm ~psig ~members payload
+
 (* ------------------------------------------------------------------ *)
 
 (* The rebuild collects per-rank compressed segments between *anchors* —

@@ -24,6 +24,18 @@ val peek : cursor -> (Scalatrace.Event.t * cursor) option
     "the k-th event of this rank" used by deadlock bookkeeping. *)
 val consumed : cursor -> int
 
+(** [arrive waits ~members_of ~rank e payload] records [rank]'s arrival at
+    the collective [e] on the {!Util.Rendezvous} tracker both algorithms
+    share with the simulator.  The members are [e]'s declared participant
+    set, or [members_of e.comm] for a whole-communicator collective. *)
+val arrive :
+  'a Util.Rendezvous.t ->
+  members_of:(int -> Util.Rank_set.t) ->
+  rank:int ->
+  Scalatrace.Event.t ->
+  'a ->
+  'a Util.Rendezvous.arrival
+
 (** {1 Output rebuilding}
 
     Algorithm 1 rewrites the trace by re-emitting events in traversal

@@ -18,11 +18,7 @@ type blocked_reason =
   | B_recv of { e : entry; mutable tried : int }
       (* [tried] cycles over candidate unblockers for wildcard receives *)
   | B_wait of { mutable tried : int (* proxy pointer into pending list *) }
-  | B_coll of (int * string * int)
-      (* (comm, participant signature, slot); the signature is "" for
-         full-communicator collectives and the comma-joined declared
-         participant set for neighborhood collectives — same keying as
-         {!Align} *)
+  | B_coll of Util.Rendezvous.key
 
 type node_state = {
   rank : int;
@@ -31,19 +27,6 @@ type node_state = {
   mutable finished : bool;
   mutable blocked : blocked_reason option;
   mutable pending : entry list; (* L1: own unmatched ops, oldest first *)
-  coll_seq : (int * string, int) Hashtbl.t;
-}
-
-let psig_of (e : Event.t) =
-  match e.Event.parts with
-  | None -> ""
-  | Some ps -> String.concat "," (List.map string_of_int (Array.to_list ps))
-
-type coll_wait = {
-  members : Util.Rank_set.t;
-  n_members : int; (* cardinal of [members], computed once *)
-  mutable n_arrived : int;
-  mutable arrivals : (int * Event.t * Traversal.cursor) list;
 }
 
 let tag_accepts ~recv_tag ~send_tag = recv_tag = -1 || recv_tag = send_tag
@@ -59,7 +42,7 @@ type strategy = [ `Traversal | `Timed | `Auto ]
 
 (* Phase 2 shared by both strategies: rewrite the trace, pinning each
    wildcard receive *instance* to its matched sender.  [queues] maps
-   (leaf index, rank) to the senders in instance order.
+   (leaf number under [leaf_id], rank) to the senders in instance order.
 
    The rewrite is in place and local: RSDs whose instances all resolved to
    the same source just get their peer replaced; a loop that contains a
@@ -67,22 +50,13 @@ type strategy = [ `Traversal | `Timed | `Auto ]
    resolutions split the RSD (preserving per-sender message counts — the
    generated benchmark cannot hang on a count mismatch) while consistent
    ones fold back to the original structure. *)
-let rebuild_resolved (trace : Trace.t) queues =
+let id_of leaf_id e =
+  match leaf_id e with
+  | Some i -> i
+  | None -> raise (Wildcard_error "internal: event not part of the trace")
+
+let rebuild_resolved ~leaf_id (trace : Trace.t) queues =
   let nranks = Trace.nranks trace in
-  let leaf_ids =
-    let ids = ref [] and n = ref 0 in
-    Tnode.iter_leaves
-      (fun e ->
-        ids := (e, !n) :: !ids;
-        incr n)
-      (Trace.nodes trace);
-    !ids
-  in
-  let id_of e =
-    match List.find_opt (fun (e', _) -> e' == e) leaf_ids with
-    | Some (_, i) -> i
-    | None -> raise (Wildcard_error "internal: event not part of the trace")
-  in
   let pop ~leaf ~rank =
     match Hashtbl.find_opt queues (leaf, rank) with
     | Some q -> (
@@ -105,7 +79,7 @@ let rebuild_resolved (trace : Trace.t) queues =
   in
   (* Emit one instance of a wildcard RSD with this instance's sources. *)
   let resolve_instance (e : Event.t) =
-    let leaf = id_of e in
+    let leaf = id_of leaf_id e in
     let obs =
       Util.Rank_set.fold (fun r acc -> (r, pop ~leaf ~rank:r) :: acc) e.Event.ranks []
       |> List.sort compare
@@ -140,7 +114,7 @@ let rebuild_resolved (trace : Trace.t) queues =
 
 (* Phase 1, untimed: the paper's Algorithm 2 traversal.  Returns the
    resolution queues. *)
-let traversal_resolve (trace : Trace.t) =
+let traversal_resolve ~leaf_id (trace : Trace.t) =
   let nranks = Trace.nranks trace in
   let comms = Trace.comms trace in
   let members_of cid =
@@ -157,7 +131,6 @@ let traversal_resolve (trace : Trace.t) =
           finished = false;
           blocked = None;
           pending = [];
-          coll_seq = Hashtbl.create 8;
         })
   in
   (* L2: operations awaiting a match, indexed by the rank that must match
@@ -165,23 +138,7 @@ let traversal_resolve (trace : Trace.t) =
      are receives posted by r (so a send to r scans them). *)
   let pending_sends = Array.make nranks ([] : entry list) in
   let pending_recvs = Array.make nranks ([] : entry list) in
-  let waits : (int * string * int, coll_wait) Hashtbl.t = Hashtbl.create 64 in
-  (* RSD identity: structural hashing would conflate distinct-but-equal
-     events, so leaves get explicit ids by physical identity. *)
-  let leaf_ids =
-    let ids = ref [] and n = ref 0 in
-    Tnode.iter_leaves
-      (fun e ->
-        ids := (e, !n) :: !ids;
-        incr n)
-      (Trace.nodes trace);
-    !ids
-  in
-  let id_of e =
-    match List.find_opt (fun (e', _) -> e' == e) leaf_ids with
-    | Some (_, i) -> i
-    | None -> raise (Wildcard_error "internal: event not part of the trace")
-  in
+  let waits = Util.Rendezvous.create () in
   (* Matching senders per (wildcard RSD, receiving rank), one per instance
      in match order — which equals instance order, since receives of one
      RSD are posted and matched FIFO. *)
@@ -207,7 +164,7 @@ let traversal_resolve (trace : Trace.t) =
     strip states.(send.owner) send;
     strip states.(recv.owner) recv;
     (if recv.ev.Event.peer = Event.P_any then
-       push_resolution (id_of recv.ev, recv.owner) send.owner);
+       push_resolution (id_of leaf_id recv.ev, recv.owner) send.owner);
     let maybe_unblock owner (matched : entry) =
       let s = states.(owner) in
       match s.blocked with
@@ -346,52 +303,29 @@ let traversal_resolve (trace : Trace.t) =
                 s.after <- after;
                 running := false
               end
-          | _ when Event.is_collective e.kind ->
-              let psig = psig_of e in
-              let seq_key = (e.comm, psig) in
-              let slot =
-                Option.value ~default:0 (Hashtbl.find_opt s.coll_seq seq_key)
-              in
-              Hashtbl.replace s.coll_seq seq_key (slot + 1);
-              let key = (e.comm, psig, slot) in
-              let w =
-                match Hashtbl.find_opt waits key with
-                | Some w -> w
-                | None ->
-                    let members =
-                      match e.Event.parts with
-                      | Some ps ->
-                          Util.Rank_set.of_list (Array.to_list ps)
-                      | None -> members_of e.comm
-                    in
-                    let w =
-                      {
-                        members;
-                        n_members = Util.Rank_set.cardinal members;
-                        n_arrived = 0;
-                        arrivals = [];
-                      }
-                    in
-                    Hashtbl.replace waits key w;
-                    w
-              in
-              w.arrivals <- (r, e, after) :: w.arrivals;
-              w.n_arrived <- w.n_arrived + 1;
-              if w.n_arrived = w.n_members then begin
-                Hashtbl.remove waits key;
-                List.iter
-                  (fun (r', _, after') ->
-                    let s' = states.(r') in
-                    s'.blocked <- None;
-                    s'.cursor <- after')
-                  w.arrivals
-                (* s.cursor updated through the loop above; keep running *)
-              end
-              else begin
-                s.blocked <- Some (B_coll key);
-                s.after <- after;
-                running := false
-              end
+          | _ when Event.is_collective e.kind -> (
+              match Traversal.arrive waits ~members_of ~rank:r e (r, after) with
+              | Complete w ->
+                  (* resumes every arrival, this rank included: keep
+                     running *)
+                  List.iter
+                    (fun (r', after') ->
+                      let s' = states.(r') in
+                      s'.blocked <- None;
+                      s'.cursor <- after')
+                    (Util.Rendezvous.arrivals w)
+              | Parked w ->
+                  s.blocked <- Some (B_coll (Util.Rendezvous.key w));
+                  s.after <- after;
+                  running := false
+              | Not_member w ->
+                  let { Util.Rendezvous.comm; slot; _ } = Util.Rendezvous.key w in
+                  raise
+                    (Wildcard_error
+                       (Printf.sprintf
+                          "rank %d reaches %s on communicator %d (slot %d) \
+                           outside its participant set"
+                          r (Event.kind_name e.kind) comm slot)))
           | _ ->
               raise (Wildcard_error "unhandled event kind in traversal"))
     done
@@ -408,8 +342,9 @@ let traversal_resolve (trace : Trace.t) =
             | Some (B_recv { e; _ }) -> "blocking " ^ describe_entry e
             | Some (B_wait _) ->
                 Printf.sprintf "a wait on %d pending operations" (List.length s.pending)
-            | Some (B_coll (c, _, slot)) ->
-                Printf.sprintf "a collective on communicator %d (slot %d)" c slot
+            | Some (B_coll { comm; slot; _ }) ->
+                Printf.sprintf "a collective on communicator %d (slot %d)" comm
+                  slot
             | None -> "<runnable>"
           in
           Buffer.add_string buf (Printf.sprintf "\n  rank %d blocked on %s" s.rank what)
@@ -462,11 +397,13 @@ let timed_resolve ?net (trace : Trace.t) =
   queues
 
 let run ?(strategy = `Auto) ?net ?(on_fallback = fun _ -> ()) (trace : Trace.t) =
+  let leaf_id = Tnode.leaf_index (Trace.nodes trace) in
+  let rebuild_resolved = rebuild_resolved ~leaf_id in
   match strategy with
-  | `Traversal -> rebuild_resolved trace (traversal_resolve trace)
+  | `Traversal -> rebuild_resolved trace (traversal_resolve ~leaf_id trace)
   | `Timed -> rebuild_resolved trace (timed_resolve ?net trace)
   | `Auto -> (
-      match traversal_resolve trace with
+      match traversal_resolve ~leaf_id trace with
       | exception Potential_deadlock msg ->
           (* The untimed traversal wedged.  Replaying the trace decides
              whether that is a genuine hazard: a hanging replay re-raises

@@ -10,7 +10,10 @@
     to an absolute rank or a per-rank map).
 
     The traversal blocks at blocking sends/receives, waits, and
-    collectives, switching to the peer that can unblock it.  A transfer
+    collectives (tracked on {!Util.Rendezvous}, as in {!Align}), switching
+    to the peer that can unblock it.  Resolutions are keyed by
+    {!Scalatrace.Tnode.leaf_index}, built once per run and shared by the
+    traversal and the rebuild; the timed replay numbers the same leaves.  A transfer
     log (the paper's [L3]/unblock events) detects cyclic dependencies: if
     the traversal returns to a node still blocked on the same event with
     no unblocking in between, a *potential deadlock* of the original

@@ -81,13 +81,18 @@ type rank_state = {
          receiver serialize on the wire, so message bursts queue *)
 }
 
+(* One rank's arrival at a collective: world rank, time, operation. *)
+type coll_arrival = int * float * Call.op
+
+(* A completed collective instance, as the cost models see it. *)
 type coll_state = {
   c_comm : Comm.t;
-  c_name : string;
+  c_op : Call.op; (* the last arrival's; every arrival calls the same op *)
   c_parts : int array;
       (* world ranks of the declared participant set (the whole
-         communicator for everything but neighborhood collectives) *)
-  mutable c_arrivals : (int * float * Call.op) list;
+         communicator for everything but neighborhood collectives), in
+         local-rank order *)
+  c_arrivals : coll_arrival list; (* newest first *)
 }
 
 type event =
@@ -105,14 +110,9 @@ type state = {
   mutable next_req : int;
   mutable next_comm : int;
   comms : (int, Comm.t) Hashtbl.t;
-  (* Collectives are keyed by (communicator id, participant-set
-     signature, per-rank arrival slot).  The signature is "" for
-     full-communicator operations — the historical keying — and the
-     encoded declared participant set for neighborhood collectives, so
-     disjoint participant groups on one communicator progress
-     independently. *)
-  colls : (int * string * int, coll_state) Hashtbl.t;
-  coll_seq : (int * string * int, int) Hashtbl.t;
+  (* Pending collectives, keyed by (communicator id, signature of the
+     declared participant set in local ranks, per-rank arrival slot). *)
+  colls : coll_arrival Util.Rendezvous.t;
   coll_alg : Coll_alg.t;
   hooks : Hooks.t list;
   fibers : fiber option array;
@@ -298,6 +298,14 @@ let rank_lines st buf =
       end)
     st.ranks
 
+(* The declared participant set of a collective in local ranks; [[||]]
+   (the whole communicator) for everything but neighborhood collectives. *)
+let declared_parts = function
+  | Call.Neighbor_alltoall { parts; _ } | Call.Neighbor_allgather { parts; _ }
+    ->
+      parts
+  | _ -> [||]
+
 (* Who is each unfinished rank actually waiting for?  Point-to-point calls
    name their peer directly; a rank parked in a collective waits for the
    members that have not reached its pending instance.  Peers that have
@@ -326,31 +334,16 @@ let wait_edges st =
               | Call.Irecv { src = Call.Any_source; _ }
               | Call.Wait _ | Call.Waitall _ | Call.Compute _ | Call.Wtime ->
                   []
-              | _ ->
-                  (* collective: comm members absent from the pending
-                     instance this rank has arrived at *)
-                  let cid = Comm.id c.Call.comm in
-                  let pending =
-                    Hashtbl.fold
-                      (fun (kcid, _, _) cs acc ->
-                        if
-                          kcid = cid
-                          && List.exists
-                               (fun (w, _, _) -> w = rs.rs_rank)
-                               cs.c_arrivals
-                        then Some cs
-                        else acc)
-                      st.colls None
-                  in
-                  (match pending with
+              | _ -> (
+                  (* collective: members absent from the pending instance
+                     this rank has arrived at *)
+                  let psig = Util.Rendezvous.signature (declared_parts c.op) in
+                  match
+                    Util.Rendezvous.parked st.colls ~rank:rs.rs_rank
+                      ~comm:(Comm.id c.Call.comm) ~psig
+                  with
                   | None -> []
-                  | Some cs ->
-                      cs.c_parts |> Array.to_list
-                      |> List.filter (fun w ->
-                             not
-                               (List.exists
-                                  (fun (a, _, _) -> a = w)
-                                  cs.c_arrivals)))
+                  | Some w -> Util.Rendezvous.missing w)
             in
             let missing = List.filter finished waiting_on in
             edges :=
@@ -702,74 +695,46 @@ let do_recv st rank (call : Call.t) ~blocking ~src ~bytes:_ ~tag =
 (* ------------------------------------------------------------------ *)
 (* Collectives                                                         *)
 
-(* Invariant: a collective is finished only once every member has arrived,
-   so its arrival list is non-empty wherever the cost and result are
-   computed.  A violation is an engine bug; report it with enough context
-   to debug rather than dying on a bare [Failure "hd"]. *)
-let first_arrival ~key (c : coll_state) =
-  match c.c_arrivals with
-  | a :: _ -> a
-  | [] ->
-      let cid, _, slot = key in
-      let members =
-        c.c_parts |> Array.to_list |> List.map string_of_int
-        |> String.concat ","
-      in
-      raise
-        (Mpi_error
-           (Printf.sprintf
-              "internal invariant violated: collective %s (communicator %d, \
-               slot %d) completed with an empty arrival list; participants \
-               {%s}"
-              c.c_name cid slot members))
-
-let coll_cost st ~key (c : coll_state) =
-  let net = st.net in
-  let p = Comm.size c.c_comm in
-  let sum = Array.fold_left ( + ) 0 in
-  (* Representative op: the root's where rooted sizes matter, else any. *)
-  let op_of_rank want_root =
-    let found =
-      List.find_opt (fun (w, _, _) ->
+(* The representative op of a collective: the root's where rooted payload
+   sizes matter (they drive the cost and schedule expansion), else the
+   last arrival's. *)
+let representative_op (c : coll_state) =
+  let of_rank want_root =
+    match
+      List.find_opt
+        (fun (w, _, _) ->
           match Comm.local_of_world c.c_comm w with
           | Some l -> l = want_root
           | None -> false)
         c.c_arrivals
-    in
-    match found with
+    with
     | Some (_, _, op) -> op
-    | None -> let (_, _, op) = first_arrival ~key c in op
+    | None -> c.c_op
   in
-  let (_, _, any_op) = first_arrival ~key c in
-  match any_op with
+  match c.c_op with
+  | Call.Bcast { root; _ }
+  | Call.Reduce { root; _ }
+  | Call.Gather { root; _ }
+  | Call.Gatherv { root; _ }
+  | Call.Scatter { root; _ }
+  | Call.Scatterv { root; _ } ->
+      of_rank root
+  | op -> op
+
+let coll_cost st (c : coll_state) =
+  let net = st.net in
+  let p = Comm.size c.c_comm in
+  let sum = Array.fold_left ( + ) 0 in
+  (* every arrival calls the same operation, the root's included *)
+  match representative_op c with
   | Barrier -> Netmodel.barrier_cost net ~p
-  | Bcast { root; _ } -> (
-      match op_of_rank root with
-      | Bcast { bytes; _ } -> Netmodel.bcast_cost net ~p ~bytes
-      | _ -> assert false)
-  | Reduce { root; _ } -> (
-      match op_of_rank root with
-      | Reduce { bytes; _ } -> Netmodel.reduce_cost net ~p ~bytes
-      | _ -> assert false)
+  | Bcast { bytes; _ } -> Netmodel.bcast_cost net ~p ~bytes
+  | Reduce { bytes; _ } -> Netmodel.reduce_cost net ~p ~bytes
   | Allreduce { bytes } -> Netmodel.allreduce_cost net ~p ~bytes
-  | Gather { root; _ } -> (
-      match op_of_rank root with
-      | Gather { bytes_per_rank; _ } ->
-          Netmodel.gather_cost net ~p ~total:((p - 1) * bytes_per_rank)
-      | _ -> assert false)
-  | Gatherv { root; _ } -> (
-      match op_of_rank root with
-      | Gatherv { bytes_from; _ } -> Netmodel.gather_cost net ~p ~total:(sum bytes_from)
-      | _ -> assert false)
-  | Scatter { root; _ } -> (
-      match op_of_rank root with
-      | Scatter { bytes_per_rank; _ } ->
-          Netmodel.gather_cost net ~p ~total:((p - 1) * bytes_per_rank)
-      | _ -> assert false)
-  | Scatterv { root; _ } -> (
-      match op_of_rank root with
-      | Scatterv { bytes_to; _ } -> Netmodel.gather_cost net ~p ~total:(sum bytes_to)
-      | _ -> assert false)
+  | Gather { bytes_per_rank; _ } | Scatter { bytes_per_rank; _ } ->
+      Netmodel.gather_cost net ~p ~total:((p - 1) * bytes_per_rank)
+  | Gatherv { bytes_from = v; _ } | Scatterv { bytes_to = v; _ } ->
+      Netmodel.gather_cost net ~p ~total:(sum v)
   | Allgather { bytes_per_rank } ->
       Netmodel.allgather_cost net ~p ~total:(p * bytes_per_rank)
   | Allgatherv { bytes_from } -> Netmodel.allgather_cost net ~p ~total:(sum bytes_from)
@@ -837,27 +802,6 @@ let split_comms st (c : coll_state) =
     colors;
   fun w -> Hashtbl.find assignment w
 
-(* The representative op of a collective: the root's where rooted payload
-   sizes matter (the root's [bytes] drives schedule expansion), else any
-   arrival's. *)
-let representative_op ~key (c : coll_state) =
-  let (_, _, any_op) = first_arrival ~key c in
-  let of_rank want_root =
-    match
-      List.find_opt
-        (fun (w, _, _) ->
-          match Comm.local_of_world c.c_comm w with
-          | Some l -> l = want_root
-          | None -> false)
-        c.c_arrivals
-    with
-    | Some (_, _, op) -> op
-    | None -> any_op
-  in
-  match any_op with
-  | Call.Bcast { root; _ } | Call.Reduce { root; _ } -> of_rank root
-  | op -> op
-
 (* Neighborhood collectives under a pluggable strategy: participants are
    indexed by position in the declared participant set; each arrival's
    neighbor list becomes a relative-offset array in that indexing.  When
@@ -906,18 +850,17 @@ let neighbor_times st (c : coll_state) =
    completion time, or [None] for the monolithic analytic path.
    Communicator management and [Finalize] always stay monolithic (they
    synchronize, they do not move data). *)
-let coll_schedule_times st ~key (c : coll_state) =
+let coll_schedule_times st (c : coll_state) =
   match st.coll_alg with
   | `Monolithic -> None
   | sel -> (
-      let (_, _, any_op) = first_arrival ~key c in
-      match any_op with
+      match c.c_op with
       | Call.Comm_split _ | Call.Comm_dup | Call.Finalize -> None
       | Call.Neighbor_alltoall _ | Call.Neighbor_allgather _ ->
           neighbor_times st c
       | _ -> (
           let p = Comm.size c.c_comm in
-          let op = representative_op ~key c in
+          let op = representative_op c in
           match Coll_alg.expand (Coll_alg.select sel ~op ~p) ~op ~p with
           | None -> None
           | Some sched ->
@@ -937,14 +880,12 @@ let coll_schedule_times st ~key (c : coll_state) =
                   | Some l -> Some fin.(l)
                   | None -> None)))
 
-let finish_collective st key (c : coll_state) =
-  Hashtbl.remove st.colls key;
+let finish_collective st (c : coll_state) =
   let t_all =
     List.fold_left (fun acc (_, t, _) -> Float.max acc t) 0. c.c_arrivals
   in
-  let (_, _, any_op) = first_arrival ~key c in
   let value_for =
-    match any_op with
+    match c.c_op with
     | Call.Comm_split _ ->
         let lookup = split_comms st c in
         fun w -> Call.V_comm (lookup w)
@@ -963,16 +904,17 @@ let finish_collective st key (c : coll_state) =
   let participants =
     Array.of_list (List.rev_map (fun (w, _, _) -> w) c.c_arrivals)
   in
-  let cid = match key with k, _, _ -> k in
+  let cid = Comm.id c.c_comm in
+  let name = Call.op_name c.c_op in
   (* Whichever strategy runs, exactly one completion event fires for the
      logical collective, timestamped at its last rank's completion. *)
-  match coll_schedule_times st ~key c with
+  match coll_schedule_times st c with
   | None ->
-      let done_at = t_all +. coll_cost st ~key c in
+      let done_at = t_all +. coll_cost st c in
       List.iter
         (fun (w, _, _) -> schedule st ~time:done_at (E_resume (w, value_for w)))
         c.c_arrivals;
-      fire_collective_complete st ~time:done_at ~comm:cid ~name:c.c_name
+      fire_collective_complete st ~time:done_at ~comm:cid ~name
         ~participants
   | Some fin_of ->
       let done_at =
@@ -986,21 +928,17 @@ let finish_collective st key (c : coll_state) =
           let at = match fin_of w with Some t -> t | None -> done_at in
           schedule st ~time:at (E_resume (w, value_for w)))
         c.c_arrivals;
-      fire_collective_complete st ~time:done_at ~comm:cid ~name:c.c_name
+      fire_collective_complete st ~time:done_at ~comm:cid ~name
         ~participants
 
 (* Declared participant set of a neighborhood collective, validated for
    the calling rank: strictly increasing communicator-local ranks, within
    the communicator, containing the caller; the neighbor list strictly
    increasing, a subset of the participant set, never the caller.  [[||]]
-   participants mean the whole communicator.  Returns the participant-set
-   signature (the keying component) and the world ranks of the set;
-   non-neighborhood operations synchronize the whole communicator under
-   the empty signature. *)
-let participant_set rank (call : Call.t) =
+   participants mean the whole communicator. *)
+let check_participants rank (call : Call.t) =
   let comm = call.comm in
   let size = Comm.size comm in
-  let whole () = ("", Comm.members comm) in
   match call.op with
   | Call.Neighbor_alltoall { parts; neighbors; _ }
   | Call.Neighbor_allgather { parts; neighbors; _ } ->
@@ -1057,12 +995,8 @@ let participant_set rank (call : Call.t) =
                     "rank %d: %s neighbor %d is outside the declared \
                      participant set"
                     rank name nb)))
-        neighbors;
-      if Array.length parts = 0 then whole ()
-      else
-        ( String.concat "," (Array.to_list (Array.map string_of_int parts)),
-          Array.map (fun l -> Comm.world_of_local comm l) parts )
-  | _ -> whole ()
+        neighbors
+  | _ -> ()
 
 let do_collective st rank (call : Call.t) =
   let comm = call.comm in
@@ -1072,39 +1006,43 @@ let do_collective st rank (call : Call.t) =
          (Printf.sprintf "rank %d calling %s on communicator %d it is not in"
             rank (Call.op_name call.op) (Comm.id comm)));
   let cid = Comm.id comm in
-  let psig, parts = participant_set rank call in
-  let slot =
-    Option.value ~default:0 (Hashtbl.find_opt st.coll_seq (cid, psig, rank))
+  check_participants rank call;
+  let parts = declared_parts call.op in
+  let members () =
+    if Array.length parts = 0 then Comm.members comm
+    else Array.map (Comm.world_of_local comm) parts
   in
-  Hashtbl.replace st.coll_seq (cid, psig, rank) (slot + 1);
-  let key = (cid, psig, slot) in
-  let c =
-    match Hashtbl.find_opt st.colls key with
-    | Some c -> c
-    | None ->
-        let c =
-          {
-            c_comm = comm;
-            c_name = Call.op_name call.op;
-            c_parts = parts;
-            c_arrivals = [];
-          }
-        in
-        Hashtbl.replace st.colls key c;
-        c
+  let arrival =
+    Util.Rendezvous.arrive st.colls ~rank ~comm:cid
+      ~psig:(Util.Rendezvous.signature parts)
+      ~members
+      (rank, st.ranks.(rank).rs_clock, call.op)
   in
-  if c.c_name <> Call.op_name call.op then
-    raise
-      (Mpi_error
-         (Printf.sprintf
-            "collective mismatch on communicator %d: rank %d calls %s at %s \
-             but another rank called %s"
-            cid rank (Call.op_name call.op)
-            (Util.Callsite.to_string call.site)
-            c.c_name));
-  c.c_arrivals <- (rank, st.ranks.(rank).rs_clock, call.op) :: c.c_arrivals;
-  if List.length c.c_arrivals = Array.length c.c_parts then
-    finish_collective st key c
+  match arrival with
+  | Not_member _ -> assert false (* membership checked above *)
+  | Parked w | Complete w -> (
+      (match Util.Rendezvous.arrivals w with
+      | _ :: (_, _, prev) :: _ when Call.op_name prev <> Call.op_name call.op
+        ->
+          raise
+            (Mpi_error
+               (Printf.sprintf
+                  "collective mismatch on communicator %d: rank %d calls %s \
+                   at %s but another rank called %s"
+                  cid rank (Call.op_name call.op)
+                  (Util.Callsite.to_string call.site)
+                  (Call.op_name prev)))
+      | _ -> ());
+      match arrival with
+      | Complete _ ->
+          finish_collective st
+            {
+              c_comm = comm;
+              c_op = call.op;
+              c_parts = Util.Rendezvous.members w;
+              c_arrivals = Util.Rendezvous.arrivals w;
+            }
+      | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Call dispatch                                                       *)
@@ -1180,8 +1118,7 @@ let run ?(hooks = []) ?(net = Netmodel.bluegene_l) ?fault ?max_events
       next_req = 0;
       next_comm = 1;
       comms = Hashtbl.create 16;
-      colls = Hashtbl.create 64;
-      coll_seq = Hashtbl.create 64;
+      colls = Util.Rendezvous.create ();
       coll_alg;
       hooks;
       fibers = Array.make nranks None;

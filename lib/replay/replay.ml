@@ -7,9 +7,9 @@ type result = {
   wildcard_matches : ((int * int) * int list) list;
 }
 
-(* Outstanding nonblocking requests, oldest first, with the leaf index of
-   the wildcard receive they belong to (if any) so the matched source can
-   be recorded when the wait completes. *)
+(* Outstanding nonblocking requests, oldest first, with the leaf number
+   ({!Tnode.leaf_index}) of the wildcard receive they belong to, if any,
+   so the matched source can be recorded when the wait completes. *)
 type pending = { req : Mpisim.Call.request; wild_leaf : int option }
 
 let uniform_vec ~p ~total =
@@ -23,19 +23,11 @@ let run ?(net = Mpisim.Netmodel.bluegene_l) ?(hooks = []) ?fault ?max_events
     trace =
   let nranks = Trace.nranks trace in
   let comm_table = List.filter (fun (id, _) -> id <> 0) (Trace.comms trace) in
-  (* leaf index by physical identity (iter_leaves order) *)
-  let leaf_ids =
-    let ids = ref [] and n = ref 0 in
-    Tnode.iter_leaves
-      (fun e ->
-        ids := (e, !n) :: !ids;
-        incr n)
-      (Trace.nodes trace);
-    !ids
-  in
+  (* built on the first wildcard receive: most traces have none *)
+  let leaf_index = lazy (Tnode.leaf_index (Trace.nodes trace)) in
   let id_of e =
-    match List.find_opt (fun (e', _) -> e' == e) leaf_ids with
-    | Some (_, i) -> i
+    match Lazy.force leaf_index e with
+    | Some i -> i
     | None -> raise (Replay_error "event not part of the trace")
   in
   let matches : (int * int, int list ref) Hashtbl.t = Hashtbl.create 32 in

@@ -6,15 +6,16 @@
     original applications and generated benchmarks, and (b) timed wildcard
     resolution: replaying a trace that still contains [MPI_ANY_SOURCE]
     lets the simulator's arrival-order matching decide the senders, and
-    the per-instance matches can be recorded via [on_wildcard]. *)
+    the per-instance matches come back in [wildcard_matches]. *)
 
 exception Replay_error of string
 
 type result = {
   outcome : Mpisim.Engine.outcome;
   wildcard_matches : ((int * int) * int list) list;
-      (** per (leaf index, rank): matched world senders in instance order;
-          leaf indices count {!Scalatrace.Tnode.iter_leaves} order *)
+      (** per wildcard receive RSD and receiving rank, the matched world
+          senders in instance order; keyed as {!Scalatrace.Tnode.leaf_index}
+          documents *)
 }
 
 (** How computation gaps are reconstructed from the per-RSD timing

@@ -80,6 +80,22 @@ let rec iter_leaves f nodes =
     (function Leaf e -> f e | Loop { body; _ } -> iter_leaves f body)
     nodes
 
+module Phys = Hashtbl.Make (struct
+  type t = Event.t
+
+  let equal = ( == )
+  let hash = Event.hash
+end)
+
+let leaf_index nodes =
+  let ids = Phys.create 64 and n = ref 0 in
+  iter_leaves
+    (fun e ->
+      Phys.replace ids e !n;
+      incr n)
+    nodes;
+  Phys.find_opt ids
+
 let rec map_leaves f nodes =
   List.map
     (function

@@ -67,6 +67,19 @@ val project : t list -> rank:int -> t list
     counts). *)
 val iter_leaves : (Event.t -> unit) -> t list -> unit
 
+(** [leaf_index nodes] numbers the leaves of [nodes] in {!iter_leaves}
+    order and returns the lookup from a leaf's event to its number, by
+    physical identity: structurally equal events at different leaves get
+    different numbers.  Hashed on {!Event.hash}, so a lookup is O(1)
+    expected.  [None] for an event that is not one of these leaves.
+
+    The number is how wildcard resolution names an RSD across rewrites:
+    [Replay.run] keys each wildcard receive's matched senders by
+    (leaf number, receiving rank), and Algorithm 2 reads them back under
+    the same key when it rebuilds the trace — both numbering the same
+    trace's leaves. *)
+val leaf_index : t list -> Event.t -> int option
+
 (** Map every leaf event (deep copy not implied; [f] may return the same
     event). *)
 val map_leaves : (Event.t -> Event.t) -> t list -> t list

@@ -261,6 +261,43 @@ let engine_tests =
                   (fun ctx -> ignore (Mpi.recv ctx ~src:(Call.Rank 0) ~bytes:8)));
              false
            with Engine.Deadlock _ -> true));
+    t "deadlock report: collective waits name their missing members"
+      (fun () ->
+        (* ranks 0 and 2 meet in a neighborhood exchange over {0,2}, but
+           rank 2 first waits for a message rank 1 never sends; ranks 1
+           and 3 wait in MPI_Finalize for the whole world *)
+        let report =
+          try
+            ignore
+              (Mpi.run ~nranks:4 (fun ctx ->
+                   (match ctx.rank with
+                   | 0 ->
+                       Mpi.neighbor_alltoall ~parts:[| 0; 2 |] ctx
+                         ~neighbors:[| 2 |] ~bytes_per_neighbor:8
+                   | 2 ->
+                       ignore (Mpi.recv ctx ~src:(Call.Rank 1) ~bytes:8);
+                       Mpi.neighbor_alltoall ~parts:[| 0; 2 |] ctx
+                         ~neighbors:[| 0 |] ~bytes_per_neighbor:8
+                   | _ -> ());
+                   Mpi.finalize ctx));
+            ""
+          with Engine.Deadlock msg -> msg
+        in
+        let edge rank rest =
+          List.exists
+            (fun line ->
+              String.starts_with ~prefix:(Printf.sprintf "  rank %d blocked in " rank) line
+              && String.ends_with ~suffix:rest line)
+            (String.split_on_char '\n' report)
+        in
+        Alcotest.(check bool) "rank 0 waits for 2" true
+          (edge 0 "<- waiting on rank(s) 2");
+        Alcotest.(check bool) "rank 1 waits for 0 and 2" true
+          (edge 1 "<- waiting on rank(s) 0,2");
+        Alcotest.(check bool) "rank 2 waits for 1" true
+          (edge 2 "<- waiting on rank(s) 1");
+        Alcotest.(check bool) "rank 3 waits for 0 and 2" true
+          (edge 3 "<- waiting on rank(s) 0,2"));
     t "determinism: identical runs identical clocks" (fun () ->
         let app (ctx : Mpi.ctx) =
           let n = ctx.nranks in

@@ -164,6 +164,20 @@ let align_tests =
         match Benchgen.Align.run trace with
         | _ -> Alcotest.fail "expected Align_error"
         | exception Benchgen.Align.Align_error _ -> ());
+    t "wildcard traversal rejects a non-member collective arrival"
+      (fun () ->
+        (* the same malformed trace as above, handed straight to
+           Algorithm 2: its traversal shares Align's collective tracker,
+           so the outsider is a typed error, not a miscounted arrival *)
+        let trace =
+          Trace.make ~nranks:4
+            ~comms:
+              [ (0, Util.Rank_set.all 4); (1, Util.Rank_set.of_list [ 0; 1 ]) ]
+            ~nodes:[ coll_leaf ~comm:1 ~bytes:8 [ 0; 1; 2 ] ]
+        in
+        match Benchgen.Wildcard.run ~strategy:`Traversal trace with
+        | _ -> Alcotest.fail "expected Wildcard_error"
+        | exception Benchgen.Wildcard.Wildcard_error _ -> ());
     t "neighborhood arrival outside the declared participant set" (fun () ->
         (* rank 1 reaches a partial-participant neighborhood collective
            whose declared set is {0, 2}: the arrival must raise the typed

@@ -321,6 +321,168 @@ let stats_tests =
         Alcotest.(check string) "k" "2.00 KiB" (Table.fbytes 2048));
   ]
 
+(* Util.Rendezvous against a naive model: assoc-style tables, linear
+   scans, and every derived figure recomputed from scratch each step.
+   Scenarios: 2-6 ranks, 1-3 communicators with members in shuffled
+   order, whole-communicator and partial (shuffled subset) participant
+   groups, and arrivals biased toward members but including outsiders. *)
+let rendezvous_props =
+  let scenario =
+    QCheck.Gen.(
+      int_range 2 6 >>= fun nranks ->
+      int_range 1 3 >>= fun ncomms ->
+      let prefix l = int_range 1 (List.length l) >|= fun k -> List.filteri (fun i _ -> i < k) l in
+      list_repeat ncomms (shuffle_l (List.init nranks Fun.id) >>= prefix)
+      >>= fun comms ->
+      let group =
+        int_range 0 (ncomms - 1) >>= fun c ->
+        let members = List.nth comms c in
+        bool >>= fun whole ->
+        if whole then return (c, "", members)
+        else
+          shuffle_l members >>= prefix >|= fun parts ->
+          (c, Rendezvous.signature (Array.of_list parts), parts)
+      in
+      list_size (int_range 1 4) group >>= fun groups ->
+      let ngroups = List.length groups in
+      let arrival =
+        int_range 0 (ngroups - 1) >>= fun g ->
+        let _, _, members = List.nth groups g in
+        frequency
+          [ (3, oneofl members); (1, int_range 0 (nranks - 1)) ]
+        >|= fun r -> (r, g)
+      in
+      list_size (int_range 0 60) arrival >|= fun arrivals ->
+      (nranks, groups, arrivals))
+  in
+  let print (nranks, groups, arrivals) =
+    Printf.sprintf "nranks=%d groups=[%s] arrivals=[%s]" nranks
+      (String.concat "; "
+         (List.map
+            (fun (c, psig, ms) ->
+              Printf.sprintf "comm %d sig %S {%s}" c psig
+                (String.concat "," (List.map string_of_int ms)))
+            groups))
+      (String.concat "; "
+         (List.map (fun (r, g) -> Printf.sprintf "r%d->g%d" r g) arrivals))
+  in
+  let holds (nranks, groups, arrivals) =
+    let groups = Array.of_list groups in
+    let t = Rendezvous.create () in
+    let opened = ref 0 and opened_model = ref 0 in
+    let slots = Hashtbl.create 16 in
+    (* key -> (members as given, arrived payloads newest first) *)
+    let waits : (Rendezvous.key, int list * (int * int) list ref) Hashtbl.t =
+      Hashtbl.create 16
+    in
+    let missing_of (members, arrived) =
+      List.filter (fun m -> not (List.mem_assoc m !arrived)) members
+      |> List.sort compare
+    in
+    let fail step what =
+      QCheck.Test.fail_reportf "step %d: %s" step what
+    in
+    List.iteri
+      (fun step (rank, g) ->
+        let comm, psig, members = groups.(g) in
+        let slot =
+          Option.value ~default:0 (Hashtbl.find_opt slots (rank, comm, psig))
+        in
+        Hashtbl.replace slots (rank, comm, psig) (slot + 1);
+        let key = { Rendezvous.comm; psig; slot } in
+        let ((_, arrived) as mw) =
+          match Hashtbl.find_opt waits key with
+          | Some mw -> mw
+          | None ->
+              incr opened_model;
+              let mw = (members, ref []) in
+              Hashtbl.replace waits key mw;
+              mw
+        in
+        let got =
+          Rendezvous.arrive t ~rank ~comm ~psig
+            ~members:(fun () ->
+              incr opened;
+              Array.of_list members)
+            (rank, step)
+        in
+        let w =
+          match got with Parked w | Complete w | Not_member w -> w
+        in
+        if Rendezvous.key w <> key then fail step "wrong slot";
+        if Array.to_list (Rendezvous.members w) <> members then
+          fail step "members not as given";
+        (if not (List.mem rank members) then (
+           match got with
+           | Not_member _ -> ()
+           | _ -> fail step "non-member arrival was recorded")
+         else begin
+           arrived := (rank, step) :: !arrived;
+           if Rendezvous.arrivals w <> !arrived then
+             fail step "arrivals not newest first";
+           match (got, missing_of mw) with
+           | Complete _, [] -> Hashtbl.remove waits key
+           | Parked _, (m :: _ as miss) ->
+               if Rendezvous.smallest_missing w <> m then
+                 fail step "smallest missing";
+               if Rendezvous.missing w <> miss then fail step "missing"
+           | _ -> fail step "completion not at the last member's arrival"
+         end);
+        if !opened <> !opened_model then fail step "members built per arrival";
+        let listed =
+          List.map
+            (fun w -> (Rendezvous.key w, Rendezvous.missing w))
+            (Rendezvous.pending t)
+        in
+        let model =
+          Hashtbl.fold (fun k mw acc -> (k, missing_of mw) :: acc) waits []
+          |> List.sort compare
+        in
+        if listed <> model then fail step "pending listing";
+        for r = 0 to nranks - 1 do
+          Array.iter
+            (fun (comm, psig, _) ->
+              let expect =
+                match Hashtbl.find_opt slots (r, comm, psig) with
+                | Some next -> (
+                    let k = { Rendezvous.comm; psig; slot = next - 1 } in
+                    match Hashtbl.find_opt waits k with
+                    | Some (_, arr) when List.mem_assoc r !arr -> Some k
+                    | _ -> None)
+                | None -> None
+              in
+              let got = Rendezvous.parked t ~rank:r ~comm ~psig in
+              if Option.map Rendezvous.key got <> expect then
+                fail step (Printf.sprintf "parked rank %d" r))
+            groups
+        done)
+      arrivals;
+    true
+  in
+  List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]))
+    [
+      QCheck.Test.make ~name:"rendezvous matches a naive model" ~count:500
+        (QCheck.make ~print scenario) holds;
+    ]
+
+let rendezvous_tests =
+  [
+    t "signature" (fun () ->
+        Alcotest.(check string) "whole" "" (Rendezvous.signature [||]);
+        Alcotest.(check string) "given order" "4,0,2"
+          (Rendezvous.signature [| 4; 0; 2 |]));
+    t "smallest_missing rejects a complete wait" (fun () ->
+        let t = Rendezvous.create () in
+        match
+          Rendezvous.arrive t ~rank:0 ~comm:0 ~psig:"" ~members:(fun () -> [| 0 |]) ()
+        with
+        | Complete w ->
+            Alcotest.check_raises "complete"
+              (Invalid_argument "Rendezvous.smallest_missing: complete wait")
+              (fun () -> ignore (Rendezvous.smallest_missing w))
+        | _ -> Alcotest.fail "a one-member wait completes at once");
+  ]
+
 let suite =
   rng_tests @ pqueue_tests @ pqueue_props @ deque_tests @ deque_props
-  @ callsite_tests @ stats_tests
+  @ callsite_tests @ stats_tests @ rendezvous_tests @ rendezvous_props
