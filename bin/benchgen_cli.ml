@@ -417,7 +417,7 @@ let salvage_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Loads $(i,TRACE) with the tolerant salvage loader: damaged frames \
+        "Loads $(i,TRACE) with the tolerant trace reader: damaged frames \
          are skipped, each rank stream is cut back to its longest \
          well-formed prefix, and a recovery report (frames dropped, ranks \
          missing, events lost per rank) is printed.  With $(b,-o) the \
@@ -439,11 +439,17 @@ let salvage_cmd =
   in
   let run file out recovery =
     guarded @@ fun () ->
-    match Scalatrace.Salvage.load ~path:file with
-    | Error msg -> fail exit_unrecoverable (file ^ ": unrecoverable: " ^ msg)
+    let text =
+      try In_channel.with_open_bin file In_channel.input_all
+      with Sys_error msg ->
+        fail exit_unrecoverable (file ^ ": unrecoverable: io error: " ^ msg)
+    in
+    match Scalatrace.Trace_io.read text with
+    | Error { reason; _ } ->
+        fail exit_unrecoverable (file ^ ": unrecoverable: " ^ reason)
     | Ok (trace, report) ->
-        print_string (Scalatrace.Salvage.report_to_string report);
-        if recovery = `Strict && Scalatrace.Salvage.is_degraded report then
+        print_string (Scalatrace.Trace_io.report_to_string report);
+        if recovery = `Strict && Scalatrace.Trace_io.is_degraded report then
           fail exit_unrecoverable
             (file ^ ": trace is damaged and --recovery=strict was requested");
         (match out with

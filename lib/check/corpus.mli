@@ -9,8 +9,6 @@
 
 type meta = { seed : int option; defect : string option; note : string option }
 
-val no_meta : meta
-
 (** First line of every file. *)
 val magic : string
 

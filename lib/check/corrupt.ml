@@ -4,20 +4,23 @@
    programs, this module fuzzes its *ingestion* with damaged trace
    files: take a known-good framed trace, mutilate it (bit flips,
    truncations — including one at every frame boundary — whole-rank
-   ablation, garbled headers), and assert the robustness contract:
+   ablation, garbled headers, and checksum-valid edits), and assert the
+   robustness contract:
 
    - no mutation may crash or hang the loader or the pipeline — every
      outcome is typed (strict load, salvage report, typed [gen_error]);
+   - strict loading is the reader's zero-damage verdict: [of_string]
+     raises exactly when [read] returns [Error] or a degraded report;
    - under best-effort recovery, every salvaged trace with at least two
      surviving ranks must still yield a parseable, replayable benchmark.
 
    All mutations are deterministic functions of the seed. *)
 
 type outcome_kind =
-  | O_strict_ok  (** damage missed everything the strict loader checks *)
+  | O_strict_ok  (** the damage missed everything the reader checks *)
   | O_salvaged_generated  (** salvage + best-effort pipeline succeeded *)
   | O_salvaged_error of string  (** salvaged, but the pipeline said no *)
-  | O_unrecoverable  (** the salvage loader itself gave up (typed) *)
+  | O_unrecoverable  (** the reader itself gave up (typed) *)
 
 type violation = {
   v_seed : int;
@@ -156,79 +159,147 @@ let mutate rng bytes =
           (Printf.sprintf "garble-header@%d" pos, Bytes.to_string b))
 
 (* ------------------------------------------------------------------ *)
+(* Checksum-valid edits                                                 *)
+
+(* Offset of the first [sub] in [s]. *)
+let find_sub s sub =
+  let n = String.length sub in
+  let rec go i = if String.sub s i n = sub then i else go (i + 1) in
+  go 0
+
+let splice s ~pos ~len text =
+  String.sub s 0 pos ^ text ^ String.sub s (pos + len) (String.length s - pos - len)
+
+(* [bytes] with the first [kind] frame's payload rewritten by [f] under a
+   recomputed header. *)
+let rewrite_frame bytes ~kind f =
+  let start = find_sub bytes ("\nframe " ^ kind ^ " ") + 1 in
+  let eol = String.index_from bytes start '\n' in
+  let len = Scanf.sscanf (String.sub bytes start (eol - start)) "frame %_s %d" Fun.id in
+  let payload = f (String.sub bytes (eol + 1) len) in
+  splice bytes ~pos:start ~len:(eol + 1 + len - start)
+    (Scalatrace.Trace_io.frame_header ~kind ~payload ^ "\n" ^ payload)
+
+let replace_first s ~before ~after =
+  splice s ~pos:(find_sub s before) ~len:(String.length before) after
+
+(* Damage no checksum can see, applied to a clean baseline: every
+   frame's CRC stays valid, so only the reader's structural checks can
+   catch it. *)
+let crafted bytes =
+  let trace = Scalatrace.Trace_io.of_string bytes in
+  let undeclared =
+    1 + List.fold_left (fun m (id, _) -> max m id) 0 (Scalatrace.Trace.comms trace)
+  in
+  let total = Scalatrace.Trace.event_count trace in
+  let terminator = String.length bytes - String.length "frame end 0 00000000\n" in
+  (* the header frame comes first: magic line, header line, "nranks N" *)
+  let separator =
+    String.index_from bytes (find_sub bytes "\nnranks " + 1) '\n'
+  in
+  [
+    ("bad-separator", splice bytes ~pos:separator ~len:1 "X");
+    ( "extra-rank-frame",
+      splice bytes ~pos:terminator ~len:0
+        (Scalatrace.Trace_io.frame_header
+           ~kind:(Printf.sprintf "rank:%d" (Scalatrace.Trace.nranks trace))
+           ~payload:""
+        ^ "\n\n") );
+    ( "manifest-total",
+      rewrite_frame bytes ~kind:"timing"
+        (replace_first
+           ~before:(Printf.sprintf "events %d\n" total)
+           ~after:(Printf.sprintf "events %d\n" (total + 1))) );
+    ( "undeclared-comm",
+      rewrite_frame bytes ~kind:"rank:0"
+        (replace_first ~before:" comm=0 "
+           ~after:(Printf.sprintf " comm=%d " undeclared)) );
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* One case                                                             *)
 
-let surviving_ranks (report : Scalatrace.Salvage.report) =
+let surviving_ranks (report : Scalatrace.Trace_io.report) =
   List.length
     (List.filter
-       (fun (rr : Scalatrace.Salvage.rank_recovery) -> rr.rr_events > 0)
+       (fun (rr : Scalatrace.Trace_io.rank_recovery) -> rr.rr_events > 0)
        report.per_rank)
 
-(* Run one mutated byte string through load → salvage → best-effort
-   pipeline → parse → replay, classifying the outcome and returning the
-   contract violation, if any. *)
+(* Run one mutated byte string through strict load, the reader and the
+   best-effort pipeline → parse → replay, classifying the outcome and
+   returning the contract violation, if any. *)
 let check_case cfg ~seed ~app ~mutation bytes =
   let violation what = Some { v_seed = seed; v_app = app; v_mutation = mutation; v_what = what } in
-  match Scalatrace.Trace_io.of_string bytes with
-  | _trace -> (O_strict_ok, None, false)
-  | exception Scalatrace.Trace_io.Format_error _ -> (
-      match Scalatrace.Salvage.of_string bytes with
-      | Error _ -> (O_unrecoverable, None, false)
+  let strict_ok =
+    match Scalatrace.Trace_io.of_string bytes with
+    | _trace -> true
+    | exception Scalatrace.Trace_io.Format_error _ -> false
+  in
+  (* strict loading must fail exactly when the reader reports damage *)
+  let contract ~degraded =
+    if strict_ok = degraded then
+      violation
+        (if strict_ok then "strict load accepted a file the reader reports as damaged"
+         else "strict load rejected a file the reader reports intact")
+    else None
+  in
+  match Scalatrace.Trace_io.read bytes with
+  | exception e ->
+      (O_unrecoverable, violation ("reader raised " ^ Printexc.to_string e), false)
+  | Error _ -> (O_unrecoverable, contract ~degraded:true, false)
+  | Ok (_, report)
+    when strict_ok || not (Scalatrace.Trace_io.is_degraded report) ->
+      (O_strict_ok, contract ~degraded:(Scalatrace.Trace_io.is_degraded report), false)
+  | Ok (trace, report) -> (
+      let survivors = surviving_ranks report in
+      let cfg' =
+        {
+          Benchgen.Pipeline.default with
+          recovery = `Best_effort;
+          max_events = Some cfg.replay_max_events;
+        }
+      in
+      match
+        Benchgen.Pipeline.run cfg' (Benchgen.Pipeline.From_trace trace)
+      with
       | exception e ->
-          ( O_unrecoverable,
-            violation
-              ("salvage loader raised " ^ Printexc.to_string e),
+          ( O_salvaged_error (Printexc.to_string e),
+            violation ("pipeline raised " ^ Printexc.to_string e),
             false )
-      | Ok (trace, report) -> (
-          let survivors = surviving_ranks report in
-          let cfg' =
-            {
-              Benchgen.Pipeline.default with
-              recovery = `Best_effort;
-              max_events = Some cfg.replay_max_events;
-            }
-          in
-          match
-            Benchgen.Pipeline.run cfg' (Benchgen.Pipeline.From_trace trace)
-          with
+      | Error e ->
+          let msg = Benchgen.Pipeline.error_to_string e in
+          ( O_salvaged_error msg,
+            (if survivors >= 2 then
+               violation
+                 (Printf.sprintf
+                    "best-effort generation refused a trace with %d \
+                     surviving ranks: %s"
+                    survivors msg)
+             else None),
+            false )
+      | Ok (artifact, _warnings) -> (
+          let text = artifact.Benchgen.Pipeline.report.text in
+          match Conceptual.Parse.program text with
           | exception e ->
-              ( O_salvaged_error (Printexc.to_string e),
-                violation ("pipeline raised " ^ Printexc.to_string e),
+              ( O_salvaged_generated,
+                violation
+                  ("generated benchmark does not parse: "
+                 ^ Printexc.to_string e),
                 false )
-          | Error e ->
-              let msg = Benchgen.Pipeline.error_to_string e in
-              ( O_salvaged_error msg,
-                (if survivors >= 2 then
-                   violation
-                     (Printf.sprintf
-                        "best-effort generation refused a trace with %d \
-                         surviving ranks: %s"
-                        survivors msg)
-                 else None),
-                false )
-          | Ok (artifact, _warnings) -> (
-              let text = artifact.Benchgen.Pipeline.report.text in
-              match Conceptual.Parse.program text with
+          | program -> (
+              match
+                Conceptual.Lower.run
+                  ~max_events:cfg.replay_max_events
+                  ~nranks:(Scalatrace.Trace.nranks trace)
+                  program
+              with
+              | _res -> (O_salvaged_generated, None, true)
               | exception e ->
                   ( O_salvaged_generated,
                     violation
-                      ("generated benchmark does not parse: "
+                      ("generated benchmark does not replay: "
                      ^ Printexc.to_string e),
-                    false )
-              | program -> (
-                  match
-                    Conceptual.Lower.run
-                      ~max_events:cfg.replay_max_events
-                      ~nranks:(Scalatrace.Trace.nranks trace)
-                      program
-                  with
-                  | _res -> (O_salvaged_generated, None, true)
-                  | exception e ->
-                      ( O_salvaged_generated,
-                        violation
-                          ("generated benchmark does not replay: "
-                         ^ Printexc.to_string e),
-                        false )))))
+                    false ))))
 
 (* ------------------------------------------------------------------ *)
 (* Campaign                                                             *)
@@ -284,6 +355,13 @@ let run cfg =
                  (String.sub bytes 0 pos)))
           (frame_boundaries bytes))
       cfg.apps;
+  (* checksum-valid edits *)
+  List.iter
+    (fun app ->
+      List.iter
+        (fun (mutation, mutated) -> record (check_case cfg ~seed:0 ~app ~mutation mutated))
+        (crafted (baseline ~nranks:cfg.nranks app)))
+    cfg.apps;
   (* seeded random mutations *)
   for seed = cfg.seed_start to cfg.seed_start + cfg.seeds - 1 do
     let app = List.nth cfg.apps (seed mod List.length cfg.apps) in

@@ -5,11 +5,18 @@
     each case takes a known-good framed (v2) trace from a registry
     application, applies a seeded mutation (bit flip, truncation at a
     random offset or at a frame boundary, whole-rank-frame ablation,
-    garbled frame header), and checks the robustness contract:
+    garbled frame header), and checks the robustness contract.  Each
+    baseline also gets four checksum-valid edits no CRC can see: the
+    header frame's separator overwritten, an extra rank frame beyond
+    the declared count, the manifest's [events] total changed, and one
+    event moved to an undeclared communicator.  The contract:
 
     - no mutation may crash or hang the loader or the pipeline — every
-      outcome must be typed (clean strict load, a {!Scalatrace.Salvage}
-      report, or a typed {!Benchgen.Pipeline.gen_error});
+      outcome must be typed (clean strict load, a
+      {!Scalatrace.Trace_io.report}, or a typed
+      {!Benchgen.Pipeline.gen_error});
+    - {!Scalatrace.Trace_io.of_string} raises exactly when
+      {!Scalatrace.Trace_io.read} returns [Error] or a degraded report;
     - under [`Best_effort] recovery, every salvaged trace with at least
       two surviving ranks must still yield a benchmark that parses and
       replays (bounded by a watchdog).
@@ -18,13 +25,13 @@
     violation replays exactly. *)
 
 type outcome_kind =
-  | O_strict_ok  (** damage missed everything the strict loader checks *)
+  | O_strict_ok  (** the damage missed everything the reader checks *)
   | O_salvaged_generated  (** salvage + best-effort pipeline succeeded *)
   | O_salvaged_error of string  (** salvaged, but the pipeline refused *)
-  | O_unrecoverable  (** the salvage loader itself gave up (typed) *)
+  | O_unrecoverable  (** the reader itself gave up (typed) *)
 
 type violation = {
-  v_seed : int;  (** 0 for boundary-sweep cases *)
+  v_seed : int;  (** 0 for boundary-sweep and checksum-valid cases *)
   v_app : string;
   v_mutation : string;  (** e.g. ["bit-flip@1234"], replayable *)
   v_what : string;  (** which contract clause broke, and how *)
@@ -41,6 +48,12 @@ type config = {
   log : string -> unit;  (** violation log line sink *)
 }
 
+(** The four checksum-valid edits of a clean framed trace, as
+    [(mutation, bytes)]: ["bad-separator"], ["extra-rank-frame"],
+    ["manifest-total"] and ["undeclared-comm"] (rank 0's first event
+    moved to one past the highest declared communicator). *)
+val crafted : string -> (string * string) list
+
 (** 100 seeds over ring/stencil2d/butterfly/cg at 8 ranks, with the
     boundary sweep on. *)
 val default : config
@@ -48,7 +61,7 @@ val default : config
 type summary = {
   cases : int;
   strict_ok : int;
-  salvaged : int;  (** salvage loader recovered something *)
+  salvaged : int;  (** the reader recovered a damaged file *)
   unrecoverable : int;
   generated : int;  (** best-effort pipeline produced a benchmark *)
   replayed : int;  (** the benchmark also parsed and replayed *)

@@ -31,7 +31,6 @@ type coll =
   | C_alltoallv
   | C_reduce_scatter
 
-val all_colls : coll list
 val coll_to_string : coll -> string
 val coll_of_string : string -> coll option
 
@@ -81,9 +80,6 @@ type prog = { nranks : int; reps : int; phases : phase list }
     {!phase.P_neighbor}. *)
 type mode = [ `Mixed | `Neighbor ]
 
-(** Largest [nranks] {!validate} accepts. *)
-val max_nranks : int
-
 (** Check the structural invariants the constructors above document
     (offset/root ranges, unique fan-in tags, split-group sizes, ...).
     Everything {!generate} draws — and every {!Shrink} candidate —
@@ -103,6 +99,5 @@ val generate : seed:int -> prog
     [(mode, seed)].  [generate_with ~mode:`Mixed] is [generate]. *)
 val generate_with : mode:mode -> seed:int -> prog
 
-val pp_phase : Format.formatter -> phase -> unit
 val pp : Format.formatter -> prog -> unit
 val to_string : prog -> string

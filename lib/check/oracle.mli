@@ -68,8 +68,6 @@ val compare_sides :
   reproduction:side ->
   (unit, violation) result
 
-val stats_of : side -> stats
-
 (** {1 The property} *)
 
 (** Run the property.  Deterministic: same [prog], [defect], and

@@ -12,5 +12,3 @@ val stmt : Ast.stmt -> string
 
 (** Full program text, comments included. *)
 val program : Ast.program -> string
-
-val pp_program : Format.formatter -> Ast.program -> unit

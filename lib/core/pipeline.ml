@@ -92,7 +92,7 @@ type warning =
   | W_aligned of { input_rsds : int; output_rsds : int }
   | W_wildcard_resolved
   | W_wildcard_fallback of string
-  | W_salvaged of Scalatrace.Salvage.report
+  | W_salvaged of Scalatrace.Trace_io.report
   | W_truncated_frontier of { anchors : int; dropped_events : int }
   | W_missing_participants of { missing : int list; detail : string }
 
@@ -115,7 +115,7 @@ let warning_to_string = function
   | W_wildcard_fallback msg -> "wildcard resolution degraded: " ^ msg
   | W_salvaged report ->
       "trace was damaged; loaded what survived — "
-      ^ Scalatrace.Salvage.report_to_string report
+      ^ Scalatrace.Trace_io.report_to_string report
   | W_truncated_frontier { anchors; dropped_events } ->
       Printf.sprintf
         "benchmark truncated to the last globally consistent frontier (%d \
@@ -252,35 +252,32 @@ let drop_tail_node trace =
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
 
-(* Internal escape from [acquire] when even the salvage loader finds
+(* Internal escape from [acquire] when even the tolerant reader finds
    nothing usable; surfaced as [E_unrecoverable_trace]. *)
 exception Unrecoverable of string
 
-(* Load a trace file under the configured recovery mode: [`Strict] takes
-   the fast strict parser (any damage is a format error); the tolerant
-   modes fall back to the salvage loader and report what was recovered. *)
+(* Load a trace file under the configured recovery mode: [`Strict]
+   accepts only an undamaged file (any damage is a format error); the
+   tolerant modes keep what the reader recovered and report the damage. *)
 let load_with_recovery cfg ~warn metrics path =
   let text = In_channel.with_open_bin path In_channel.input_all in
   match cfg.recovery with
   | `Strict -> Scalatrace.Trace_io.of_string ~path text
   | `Salvage | `Best_effort -> (
-      match Scalatrace.Trace_io.of_string ~path text with
-      | trace -> trace
-      | exception Scalatrace.Trace_io.Format_error _ -> (
-          match Scalatrace.Salvage.of_string text with
-          | Error msg -> raise (Unrecoverable (path ^ ": " ^ msg))
-          | Ok (trace, report) ->
-              Obs.Metrics.inc metrics ~by:report.frames_dropped
-                "salvage.frames_dropped";
-              Obs.Metrics.inc metrics
-                ~by:(List.length report.ranks_missing)
-                "salvage.ranks_missing";
-              (match Scalatrace.Salvage.events_lost report with
-              | Some n -> Obs.Metrics.inc metrics ~by:n "salvage.events_lost"
-              | None -> ());
-              if Scalatrace.Salvage.is_degraded report then
-                warn (W_salvaged report);
-              trace))
+      match Scalatrace.Trace_io.read text with
+      | Error { reason; _ } -> raise (Unrecoverable (path ^ ": " ^ reason))
+      | Ok (trace, report) ->
+          if Scalatrace.Trace_io.is_degraded report then (
+            Obs.Metrics.inc metrics ~by:report.frames_dropped
+              "salvage.frames_dropped";
+            Obs.Metrics.inc metrics
+              ~by:(List.length report.ranks_missing)
+              "salvage.ranks_missing";
+            (match Scalatrace.Trace_io.events_lost report with
+            | Some n -> Obs.Metrics.inc metrics ~by:n "salvage.events_lost"
+            | None -> ());
+            warn (W_salvaged report));
+          trace)
 
 let acquire cfg ~warn clock metrics source =
   with_span cfg.obs clock "trace" (fun () ->

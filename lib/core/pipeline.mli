@@ -105,9 +105,9 @@ type warning =
   | W_wildcard_resolved  (** Algorithm 2 pinned wildcard receives *)
   | W_wildcard_fallback of string
       (** the [`Auto] strategy abandoned the untimed traversal *)
-  | W_salvaged of Scalatrace.Salvage.report
+  | W_salvaged of Scalatrace.Trace_io.report
       (** the trace file was damaged; generation continued from what the
-          salvage loader recovered *)
+          tolerant reader ({!Scalatrace.Trace_io.read}) recovered *)
   | W_truncated_frontier of { anchors : int; dropped_events : int }
       (** best-effort mode cut the benchmark at the last globally
           consistent world-collective frontier *)

@@ -40,7 +40,6 @@ let entries t =
     t.table []
   |> List.sort (fun a b -> String.compare a.op_name b.op_name)
 
-let total_calls t = List.fold_left (fun acc e -> acc + e.calls) 0 (entries t)
 let total_bytes t = List.fold_left (fun acc e -> acc + e.bytes) 0 (entries t)
 
 let diff a b =

@@ -58,8 +58,6 @@ let is_collective = function
   | Wtime ->
       false
 
-let is_compute = function Compute _ -> true | _ -> false
-
 let op_name = function
   | Send _ -> "MPI_Send"
   | Isend _ -> "MPI_Isend"

@@ -71,7 +71,6 @@ type value =
   | V_time of float
 
 val is_collective : op -> bool
-val is_compute : op -> bool
 
 (** Human-readable MPI-style name, e.g. ["MPI_Isend"]. *)
 val op_name : op -> string

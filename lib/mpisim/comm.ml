@@ -32,7 +32,5 @@ let is_member t ~world = Hashtbl.mem t.inverse world
 
 let members t = Array.copy t.members
 
-let is_world t = t.id = 0
-
 let pp ppf t =
   Format.fprintf ppf "comm%d(size=%d)" t.id (Array.length t.members)

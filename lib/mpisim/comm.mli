@@ -32,6 +32,4 @@ val is_member : t -> world:int -> bool
 (** All members as world ranks, in local-rank order. *)
 val members : t -> int array
 
-val is_world : t -> bool
-
 val pp : Format.formatter -> t -> unit

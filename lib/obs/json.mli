@@ -14,16 +14,13 @@ type t =
 exception Parse_error of string
 
 (** Deterministic compact rendering: object members keep their list
-    order, numbers print as integers when exactly integral (see
-    {!num_to_string}), strings are escaped per RFC 8259. *)
+    order, strings are escaped per RFC 8259.  Integral numbers in
+    (-1e15, 1e15) print with no fraction or exponent, everything else
+    with ["%.6g"]; the mapping is a pure function of the double, so
+    identical runs serialize byte-identically. *)
 val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
-
-(** Integral values in (-1e15, 1e15) render with no fraction or exponent;
-    everything else uses ["%.6g"].  The mapping is a pure function of the
-    double, so identical runs serialize byte-identically. *)
-val num_to_string : float -> string
 
 (** @raise Parse_error on malformed input (with an offset). *)
 val parse : string -> t

@@ -11,8 +11,6 @@ let nranks t = t.nranks
 let nodes t = t.nodes
 let comms t = t.comms
 
-let comm_members t id = List.assoc id t.comms
-
 let with_nodes t nodes = { t with nodes }
 
 let rsd_count t = Tnode.rsd_count t.nodes

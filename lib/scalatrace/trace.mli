@@ -16,9 +16,6 @@ val nodes : t -> Tnode.t list
 (** Communicator memberships, sorted by id; id 0 is the world. *)
 val comms : t -> (int * Util.Rank_set.t) list
 
-(** Members of one communicator. @raise Not_found for unknown ids. *)
-val comm_members : t -> int -> Util.Rank_set.t
-
 (** Replace the node sequence (trace-rewriting passes). *)
 val with_nodes : t -> Tnode.t list -> t
 

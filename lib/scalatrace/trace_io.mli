@@ -12,8 +12,8 @@
     detail is dropped, which only affects quantile reconstruction, not
     the means that drive generation and replay).
 
-    Corruption is localized to one frame, which is what the {!Salvage}
-    loader exploits to recover everything else.  Rank streams are stored
+    Corruption is localized to one frame, which is what {!read} exploits
+    to recover everything else.  Rank streams are stored
     as singleton-participant projections with concrete peers (the
     tracer's own collection shape) and re-merged on load with the
     production {!Merge} path.
@@ -28,56 +28,80 @@ exception Format_error of string
 val to_framed : Trace.t -> string
 (** Serialize to the framed container. *)
 
-val of_string : ?path:string -> string -> Trace.t
-(** Strict parse: a missing magic line, any malformed frame header,
-    checksum mismatch, missing section, a header rank count that
-    disagrees with the rank frames present, or a manifest disagreement
-    raises {!Format_error}.  [path], when given, prefixes error
-    messages.  Use {!Salvage} for tolerant loading. *)
-
 val save : Trace.t -> path:string -> unit
 (** Write [trace] to [path] in the framed format. *)
+
+val frame_header : kind:string -> payload:string -> string
+(** The header line (sans newline) that introduces [payload]; lets tests
+    craft frames. *)
+
+(** {1 Reading}
+
+    There is one reader, {!read}.  It recovers everything the damage
+    did not touch: frames with failing checksums are dropped, rank
+    streams are cut to their longest well-formed prefix, lost sections
+    are reconstructed from redundant ones, and the caller gets a typed
+    {!report} of what was recovered, what was lost, and every defect
+    found.  Strict loading ({!of_string}, {!load}) is the reader's
+    zero-damage verdict. *)
+
+type rank_recovery = {
+  rr_rank : int;
+  rr_events : int;  (** events recovered for this rank *)
+  rr_events_lost : int option;
+      (** events lost vs. the timing manifest; [None] when the manifest
+          itself was lost *)
+  rr_truncated : bool;  (** stream cut short or filtered *)
+}
+
+type report = {
+  frames_seen : int;
+  frames_dropped : int;
+      (** checksum failures, garbled headers, a missing terminator, and
+          an implausible header rank count *)
+  ranks_missing : int list;  (** ranks whose stream frame vanished *)
+  per_rank : rank_recovery list;
+  notes : string list;  (** human-readable recovery decisions *)
+  damage : string list;
+      (** every defect, as ["line N: ..."], in the order the checks
+          run: container defects in file order, then the header, the
+          communicator table, the rank-frame count, each rank stream,
+          and the timing manifest.  Besides lost data this covers a
+          missing frame separator, a rank-frame count the header does
+          not declare, a manifest total or per-rank count the streams
+          do not match, and an event on an undeclared communicator. *)
+}
+
+type unrecoverable = {
+  reason : string;  (** why nothing usable remains *)
+  damage : string list;  (** as in {!report}; never empty *)
+}
+
+type outcome = (Trace.t * report, unrecoverable) result
+
+val read : string -> outcome
+(** Tolerant parse of a framed file.  Never raises; input without the
+    magic line, or with no usable rank count or rank stream, is
+    [Error].  A rank count (from the header, the timing manifest or the
+    highest rank-frame index) larger than the text's byte length is
+    damage, so a checksum-valid but absurd header cannot make the
+    reader allocate per-rank state for it. *)
+
+val is_degraded : report -> bool
+(** True when the report records any damage, i.e. exactly when
+    {!of_string} raises on the same text. *)
+
+val events_lost : report -> int option
+(** Total events lost across ranks; [None] if unknown for any rank. *)
+
+val report_to_string : report -> string
+
+val of_string : ?path:string -> string -> Trace.t
+(** {!read}, accepting only an undamaged file: otherwise raises
+    {!Format_error} with the first damage, prefixed with [path] when
+    given. *)
 
 val load : path:string -> Trace.t
 (** {!of_string} on the contents of [path]; errors carry [path].
     @raise Format_error on malformed input.
     @raise Sys_error on I/O failure. *)
-
-(** {1 Building blocks exposed for the {!Salvage} loader}
-
-    These are not a stable user-facing API; they exist so the tolerant
-    loader shares one grammar with the strict one. *)
-
-val is_framed : string -> bool
-(** True when [text] starts with the magic line. *)
-
-val frame_header : kind:string -> payload:string -> string
-(** The header line (sans newline) that introduces [payload]. *)
-
-val parse_nodes_prefix : string list -> Tnode.t list * bool * string option
-(** Longest well-formed prefix of a node stream: completed top-level
-    nodes, whether the stream was cut short (parse error or unclosed
-    loop), and the first error message if any.  Never raises. *)
-
-val parse_header_payload : ?src:string -> string -> int
-(** [nranks] from a header-frame payload. @raise Format_error if bad. *)
-
-val parse_comms_payload :
-  ?src:string -> string -> (int * Util.Rank_set.t) list
-(** Communicator table from a comms-frame payload.
-    @raise Format_error if bad. *)
-
-val parse_timing_payload : string -> int option * (int * int) list
-(** Best-effort read of a timing manifest: total event count (if
-    present) and per-rank expected event counts.  Never raises. *)
-
-val rank_of_kind : string -> int option
-(** [rank_of_kind "rank:3"] is [Some 3]; [None] for other kinds. *)
-
-val assemble :
-  nranks:int ->
-  comms:(int * Util.Rank_set.t) list ->
-  Tnode.t list array ->
-  Trace.t
-(** Re-merge per-rank streams into a global trace (the load-time inverse
-    of the per-rank narrowing done on save). *)

@@ -52,16 +52,6 @@ type attempt_outcome =
   | A_timeout  (** the attempt hit its wall-clock deadline and was killed *)
   | A_crashed of string  (** the attempt died abnormally *)
 
-(** Map a failed attempt to the wire error: [A_error] passes through,
-    [A_timeout] becomes ["deadline_exceeded"], [A_crashed] becomes
-    ["crashed"] (both retryable).  @raise Invalid_argument on [A_ok]. *)
-val attempt_error :
-  policy:Policy.t ->
-  path:string option ->
-  recovery:Benchgen.Pipeline.recovery ->
-  attempt_outcome ->
-  Protocol.error_info
-
 (** Worker-pool supervision knobs (per-job policy lives in
     {!Policy.t} on each submit). *)
 type wpolicy = {

@@ -131,8 +131,6 @@ val parse_request :
   string ->
   (request, string option * reject_reason) result
 
-val response_to_json : response -> Obs.Json.t
-
 (** Deterministic one-line rendering (no trailing newline). *)
 val response_to_line : response -> string
 

@@ -7,10 +7,6 @@
 (** CRC of a whole string. *)
 val string : string -> int
 
-(** [update crc s ~pos ~len] extends [crc] with a substring; start from
-    [0] for a fresh checksum.  @raise Invalid_argument on bad bounds. *)
-val update : int -> string -> pos:int -> len:int -> int
-
 (** Fixed-width lowercase hex (8 chars), the frame-header spelling. *)
 val to_hex : int -> string
 

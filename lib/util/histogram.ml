@@ -151,12 +151,6 @@ let scale t k =
   end;
   s
 
-let equal_stats a b =
-  a.count = b.count
-  && Float.abs (a.sum -. b.sum) <= 1e-9 *. (1. +. Float.abs a.sum)
-  && Float.abs (min_value a -. min_value b) <= 1e-12
-  && Float.abs (max_value a -. max_value b) <= 1e-12
-
 let pp ppf t =
   Format.fprintf ppf "{n=%d mean=%.3es min=%.3es max=%.3es}"
     t.count (mean t) (min_value t) (max_value t)

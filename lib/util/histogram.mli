@@ -62,6 +62,4 @@ val copy : t -> t
     compute phases, Section 5.4). *)
 val scale : t -> float -> t
 
-val equal_stats : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -11,9 +11,6 @@ type align = Left | Right
     ready-to-print string including a rule under the header. *)
 val render : header:string list -> string list list -> string
 
-(** [render_aligned ~header ~aligns rows] with explicit alignment. *)
-val render_aligned : header:string list -> aligns:align list -> string list list -> string
-
 (** [print ~title ~header rows] prints a titled table to stdout. *)
 val print : title:string -> header:string list -> string list list -> unit
 

@@ -24,8 +24,6 @@ val edge :
   unit ->
   edge
 
-val edge_to_string : edge -> string
-
 (** Multi-line rendering, one indented edge per line under [header],
     sorted by rank. *)
 val format : ?header:string -> edge list -> string

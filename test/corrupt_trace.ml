@@ -4,6 +4,11 @@
      corrupt_trace <in> <out> flip         # flip one payload byte
      corrupt_trace <in> <out> huge-nranks  # header claims 10^11 ranks,
                                            # checksum recomputed
+     corrupt_trace <in> <out> bad-separator  # the header frame's
+                                             # separating newline overwritten
+     corrupt_trace <in> <out> unknown-comm   # rank 1's first comm=0 event
+                                             # moved to communicator 7,
+                                             # checksum recomputed
 
    Depends only on util (for the CRC) so the dune rule builds it
    cheaply. *)
@@ -82,9 +87,53 @@ let () =
           write_all output
             (String.sub bytes 0 start ^ frame
             ^ String.sub bytes stop (String.length bytes - stop))
+      | "bad-separator" ->
+          (* the byte before the second frame ends the header frame *)
+          let sep =
+            match bounds with
+            | _ :: next :: _ -> next - 1
+            | _ -> failwith "corrupt_trace: no header frame"
+          in
+          let b = Bytes.of_string bytes in
+          Bytes.set b sep 'X';
+          write_all output (Bytes.to_string b)
+      | "unknown-comm" ->
+          let prefix = "frame rank:1 " in
+          let start, stop =
+            let rec find = function
+              | h :: (next :: _ as rest) ->
+                  if String.starts_with ~prefix (String.sub bytes h (next - h))
+                  then (h, next)
+                  else find rest
+              | _ -> failwith "corrupt_trace: no rank:1 frame"
+            in
+            find bounds
+          in
+          let frame = String.sub bytes start (stop - start) in
+          let nl = String.index frame '\n' in
+          (* payload without the separating newline *)
+          let payload = String.sub frame (nl + 1) (String.length frame - nl - 2) in
+          let key = " comm=0 " in
+          let rec at i =
+            if String.sub payload i (String.length key) = key then i else at (i + 1)
+          in
+          let i = at 0 in
+          let payload =
+            String.sub payload 0 i ^ " comm=7 "
+            ^ String.sub payload (i + String.length key)
+                (String.length payload - i - String.length key)
+          in
+          write_all output
+            (String.sub bytes 0 start
+            ^ Printf.sprintf "frame rank:1 %d %s\n%s\n" (String.length payload)
+                (Util.Crc32.to_hex (Util.Crc32.string payload))
+                payload
+            ^ String.sub bytes stop (String.length bytes - stop))
       | m ->
           prerr_endline ("corrupt_trace: unknown mode " ^ m);
           exit 2)
   | _ ->
-      prerr_endline "usage: corrupt_trace <in> <out> truncate|flip|huge-nranks";
+      prerr_endline
+        "usage: corrupt_trace <in> <out> \
+         truncate|flip|huge-nranks|bad-separator|unknown-comm";
       exit 2

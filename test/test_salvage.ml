@@ -115,10 +115,63 @@ let with_header trace payload =
   magic ^ frame "header" payload
   ^ String.sub bytes (String.length old) (String.length bytes - String.length old)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let run_pipeline ~recovery path =
   Benchgen.Pipeline.run
     { Benchgen.Pipeline.default with recovery }
     (Benchgen.Pipeline.From_file path)
+
+(* Damage no checksum can see ({!Check.Corrupt.crafted}), on a 4-rank
+   ring trace: strict loading must raise the reader's first damage, the
+   reader must call the file degraded, and salvage mode must still
+   generate, with the damage reported as [W_salvaged]. *)
+let ring4 = lazy (app_trace "ring" ~nranks:4)
+
+let checksum_valid_damage mutation ~expect =
+  t ("checksum-valid damage: " ^ mutation) (fun () ->
+      let trace = Lazy.force ring4 in
+      let expect = expect trace in
+      let damaged =
+        List.assoc mutation (Check.Corrupt.crafted (Trace_io.to_framed trace))
+      in
+      (match Trace_io.of_string damaged with
+      | _ -> Alcotest.fail "strict load accepted the damage"
+      | exception Trace_io.Format_error msg ->
+          Alcotest.(check string) "first damage" expect msg);
+      (match Trace_io.read damaged with
+      | Error e -> Alcotest.fail e.reason
+      | Ok (_, report) ->
+          Alcotest.(check bool) "degraded" true (Trace_io.is_degraded report);
+          Alcotest.(check string) "damage list leads with it" expect
+            (List.hd report.damage));
+      with_temp_file damaged (fun path ->
+          match run_pipeline ~recovery:`Salvage path with
+          | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)
+          | Ok (_, warnings) ->
+              Alcotest.(check bool)
+                "W_salvaged" true
+                (List.exists
+                   (function Benchgen.Pipeline.W_salvaged _ -> true | _ -> false)
+                   warnings)))
+
+let checksum_valid_tests =
+  [
+    checksum_valid_damage "bad-separator" ~expect:(fun _ ->
+        "line 2: frame header: missing separator");
+    checksum_valid_damage "extra-rank-frame" ~expect:(fun _ ->
+        "line 1: header declares 4 ranks but the file has 5 rank frames");
+    checksum_valid_damage "manifest-total" ~expect:(fun trace ->
+        let n = Trace.event_count trace in
+        Printf.sprintf
+          "line 1: event-count manifest mismatch (%d recorded, %d loaded)"
+          (n + 1) n);
+    checksum_valid_damage "undeclared-comm" ~expect:(fun _ ->
+        "line 2: event on undeclared communicator 1");
+  ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -155,20 +208,20 @@ let unit_tests =
           (Util.Crc32.to_hex (Util.Crc32.string "123456789")));
     t "salvage of an intact file is a clean report" (fun () ->
         let trace = app_trace "ring" ~nranks:4 in
-        match Salvage.of_string (Trace_io.to_framed trace) with
-        | Error m -> Alcotest.fail m
+        match Trace_io.read (Trace_io.to_framed trace) with
+        | Error e -> Alcotest.fail e.reason
         | Ok (trace', report) ->
             Alcotest.(check bool) "equal" true (roundtrip_equal trace trace');
             Alcotest.(check bool)
               "not degraded" false
-              (Salvage.is_degraded report));
+              (Trace_io.is_degraded report));
     t "salvage recovers the surviving ranks of an ablated file" (fun () ->
         let trace = app_trace "ring" ~nranks:4 in
         let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:2 in
-        match Salvage.of_string damaged with
-        | Error m -> Alcotest.fail m
+        match Trace_io.read damaged with
+        | Error e -> Alcotest.fail e.reason
         | Ok (trace', report) ->
-            Alcotest.(check bool) "degraded" true (Salvage.is_degraded report);
+            Alcotest.(check bool) "degraded" true (Trace_io.is_degraded report);
             Alcotest.(check (list int)) "rank 2 gone" [ 2 ] report.ranks_missing;
             Alcotest.(check int) "nranks kept" 4 (Trace.nranks trace');
             (* the other ranks' streams survive in full *)
@@ -194,10 +247,10 @@ let unit_tests =
     t "salvage treats an implausible header rank count as damage" (fun () ->
         let trace = app_trace "ring" ~nranks:4 in
         let crafted = with_header trace "nranks 100000000000" in
-        (match Salvage.of_string crafted with
-        | Error m -> Alcotest.fail m
+        (match Trace_io.read crafted with
+        | Error e -> Alcotest.fail e.reason
         | Ok (trace', report) ->
-            Alcotest.(check bool) "degraded" true (Salvage.is_degraded report);
+            Alcotest.(check bool) "degraded" true (Trace_io.is_degraded report);
             Alcotest.(check int) "nranks from the manifest" 4
               (Trace.nranks trace');
             Alcotest.(check bool) "streams intact" true
@@ -216,7 +269,7 @@ let unit_tests =
           ^ frame "rank:99999999999" ""
           ^ "frame end 0 00000000\n"
         in
-        match Salvage.of_string crafted with
+        match Trace_io.read crafted with
         | Error _ -> ()
         | Ok (trace', _) ->
             Alcotest.failf "salvaged a %d-rank trace" (Trace.nranks trace'));
@@ -237,14 +290,6 @@ let unit_tests =
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Salvage path with
             | Error (Benchgen.Pipeline.E_unrecoverable_trace msg) ->
-                let contains hay needle =
-                  let nl = String.length needle and hl = String.length hay in
-                  let rec go i =
-                    i + nl <= hl
-                    && (String.sub hay i nl = needle || go (i + 1))
-                  in
-                  go 0
-                in
                 Alcotest.(check bool)
                   "names the wait-for graph" true
                   (contains msg "waiting on")
@@ -331,4 +376,5 @@ let unit_tests =
           (s.generated = s.replayed));
   ]
 
-let suite = unit_tests @ List.map framed_roundtrip all_app_names
+let suite =
+  unit_tests @ checksum_valid_tests @ List.map framed_roundtrip all_app_names
