@@ -10,6 +10,8 @@
    - the inter-rank merge of a high-RSD trace, production
      {!Scalatrace.Merge} against the linear-scan {!Reference.Merge};
    - collective-algorithm and neighborhood-schedule microbenchmarks;
+   - trace I/O: save and load of the merged trace, with repeats,
+     allocation, file bytes, and a bytes-vs-ranks exponent;
    - the product itself, [Pipeline.run] on a [From_app] source, over the
      NPB suite at several rank counts, with a traced-events-per-second
      figure.
@@ -310,6 +312,129 @@ let neighbor_json r =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Trace I/O: save and load of the merged trace                         *)
+
+(* [Trace_io.save] and [Trace_io.load] (read + strict parse) of one
+   traced app, [repeats] times each, with the words one save and one
+   load allocate and the file's size.  The file holds the merged trace,
+   so for SPMD codes its size should stay nearly flat in the rank count:
+   [bytes_exp] is the exponent of bytes vs ranks fitted over an app's
+   rank counts. *)
+
+type spread = { median : float; lo : float; hi : float }
+
+let spread xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  { median = a.(Array.length a / 2); lo = a.(0); hi = a.(Array.length a - 1) }
+
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.major_words -. s.promoted_words
+
+type trace_io_run = {
+  io_app : string;
+  io_cls : Apps.Params.cls;
+  io_nranks : int;
+  save_s : spread;
+  load_s : spread;
+  save_mwords : float;
+  load_mwords : float;
+  io_bytes : int;
+}
+
+let run_trace_io ~repeats (name, cls, wanted) =
+  let app = Option.get (Apps.Registry.find name) in
+  let nranks = Apps.Registry.fit_nranks app ~wanted in
+  let trace, _ = Scalatrace.Tracer.trace_run ~nranks (app.program ~cls ()) in
+  let path = Filename.temp_file "bench" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let measured f =
+        let w0 = allocated_words () in
+        let r, dt = wall f in
+        (r, dt, (allocated_words () -. w0) /. 1e6)
+      in
+      let saves =
+        List.init repeats (fun _ -> measured (fun () -> Scalatrace.Trace_io.save trace ~path))
+      in
+      let loads =
+        List.init repeats (fun _ -> measured (fun () -> Scalatrace.Trace_io.load ~path))
+      in
+      let loaded, _, _ = List.hd loads in
+      if Scalatrace.Trace_io.to_framed loaded <> Scalatrace.Trace_io.to_framed trace then
+        failwith (name ^ ": the loaded trace does not re-save to the same bytes");
+      let secs l = spread (List.map (fun (_, dt, _) -> dt) l)
+      and mwords l = (fun (_, _, w) -> w) (List.hd l) in
+      {
+        io_app = name;
+        io_cls = cls;
+        io_nranks = nranks;
+        save_s = secs saves;
+        load_s = secs loads;
+        save_mwords = mwords saves;
+        load_mwords = mwords loads;
+        io_bytes = (Unix.stat path).Unix.st_size;
+      })
+
+(* Least-squares slope of log bytes on log ranks, per app with more than
+   one rank count. *)
+let bytes_exponents runs =
+  List.filter_map
+    (fun app ->
+      let pts =
+        List.filter_map
+          (fun r ->
+            if r.io_app = app then
+              Some (log (float_of_int r.io_nranks), log (float_of_int r.io_bytes))
+            else None)
+          runs
+      in
+      if List.length pts < 2 then None
+      else
+        let n = float_of_int (List.length pts) in
+        let mean f = List.fold_left (fun a p -> a +. f p) 0. pts /. n in
+        let mx = mean fst and my = mean snd in
+        let sxy = mean (fun (x, y) -> (x -. mx) *. (y -. my))
+        and sxx = mean (fun (x, _) -> (x -. mx) *. (x -. mx)) in
+        Some (app, sxy /. sxx))
+    (List.sort_uniq compare (List.map (fun r -> r.io_app) runs))
+
+let spread_json s =
+  Obs.Json.Obj
+    [
+      ("median", Obs.Json.Num s.median);
+      ("min", Obs.Json.Num s.lo);
+      ("max", Obs.Json.Num s.hi);
+    ]
+
+let trace_io_json ~repeats runs =
+  Obs.Json.Obj
+    [
+      ("repeats", Obs.Json.Num (float_of_int repeats));
+      ( "runs",
+        Obs.Json.Arr
+          (List.map
+             (fun r ->
+               Obs.Json.Obj
+                 [
+                   ("app", Obs.Json.Str r.io_app);
+                   ("cls", Obs.Json.Str (Apps.Params.cls_to_string r.io_cls));
+                   ("nranks", Obs.Json.Num (float_of_int r.io_nranks));
+                   ("save_s", spread_json r.save_s);
+                   ("load_s", spread_json r.load_s);
+                   ("save_mwords", Obs.Json.Num r.save_mwords);
+                   ("load_mwords", Obs.Json.Num r.load_mwords);
+                   ("bytes", Obs.Json.Num (float_of_int r.io_bytes));
+                 ])
+             runs) );
+      ( "bytes_exp",
+        Obs.Json.Obj
+          (List.map (fun (app, e) -> (app, Obs.Json.Num e)) (bytes_exponents runs)) );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end pipeline over the application suite                      *)
 
 (* One [Pipeline.run] per row, exactly what [benchgen generate] runs:
@@ -386,11 +511,11 @@ let app_json a =
     ]
 
 let emit ~path ~mode ~micro_nranks ~msgs_per_rank ~reference ~indexed ~merge
-    ~collalg ~neighbor ~apps =
+    ~collalg ~neighbor ~trace_io ~apps =
   let doc =
     Obs.Json.Obj
       [
-        ("schema", Obs.Json.Str "bench-engine/2");
+        ("schema", Obs.Json.Str "bench-engine/3");
         ("mode", Obs.Json.Str mode);
         ( "micro",
           Obs.Json.Obj
@@ -406,6 +531,7 @@ let emit ~path ~mode ~micro_nranks ~msgs_per_rank ~reference ~indexed ~merge
         ("merge", merge_json merge);
         ("collalg", Obs.Json.Arr (List.map collalg_json collalg));
         ("neighbor", Obs.Json.Arr (List.map neighbor_json neighbor));
+        ("trace_io", trace_io);
         ("apps", Obs.Json.Arr (List.map app_json apps));
       ]
   in
@@ -431,7 +557,7 @@ let validate_json path =
         (fun k ->
           if Obs.Json.member k j = None then
             raise (Bad_json ("missing top-level key: " ^ k)))
-        [ "schema"; "micro"; "merge"; "collalg"; "neighbor"; "apps" ]
+        [ "schema"; "micro"; "merge"; "collalg"; "neighbor"; "trace_io"; "apps" ]
   | _ -> raise (Bad_json "top level is not an object")
 
 (* ------------------------------------------------------------------ *)
@@ -481,6 +607,32 @@ let run ~quick () =
      p in {%s}\n%!"
     (String.concat ", " (List.map string_of_int neighbor_counts));
   let neighbor = run_neighbor_suite ~rank_counts:neighbor_counts in
+  let io_repeats = if quick then 2 else 5 in
+  let io_cases =
+    if quick then
+      Apps.Params.
+        [ ("mg", S, 16); ("lu", S, 16); ("ep", S, 16); ("ep", S, 64);
+          ("stencil2d", S, 16); ("stencil2d", S, 64) ]
+    else
+      Apps.Params.
+        [ ("mg", C, 64); ("lu", C, 128); ("ep", W, 64); ("ep", W, 1024);
+          ("stencil2d", W, 64); ("stencil2d", W, 256) ]
+  in
+  Printf.printf "trace I/O: save and load, %d repeats\n%!" io_repeats;
+  let io_runs =
+    List.map
+      (fun case ->
+        let r = run_trace_io ~repeats:io_repeats case in
+        Printf.printf
+          "  %-9s %s p=%-5d %8d bytes  save %.4fs (%.1f Mw)  load %.4fs (%.1f Mw)\n%!"
+          r.io_app (Apps.Params.cls_to_string r.io_cls) r.io_nranks r.io_bytes
+          r.save_s.median r.save_mwords r.load_s.median r.load_mwords;
+        r)
+      io_cases
+  in
+  List.iter
+    (fun (app, e) -> Printf.printf "  %-9s bytes ~ ranks^%.3f\n%!" app e)
+    (bytes_exponents io_runs);
   let apps, counts =
     if quick then
       ( List.filter
@@ -510,7 +662,7 @@ let run ~quick () =
   let path = "BENCH_engine.json" in
   emit ~path ~mode:(if quick then "quick" else "full") ~micro_nranks
     ~msgs_per_rank ~reference ~indexed ~merge ~collalg ~neighbor
-    ~apps:app_runs;
+    ~trace_io:(trace_io_json ~repeats:io_repeats io_runs) ~apps:app_runs;
   Printf.printf "wrote %s\n%!" path;
   if quick then begin
     validate_json path;

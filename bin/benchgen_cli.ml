@@ -418,11 +418,12 @@ let salvage_cmd =
       `S Manpage.s_description;
       `P
         "Loads $(i,TRACE) with the tolerant trace reader: damaged frames \
-         are skipped, each rank stream is cut back to its longest \
-         well-formed prefix, and a recovery report (frames dropped, ranks \
-         missing, events lost per rank) is printed.  With $(b,-o) the \
-         recovered trace is re-saved as a clean framed (v2) file.  Exit \
-         status is 12 when nothing usable survived, or when \
+         are skipped, the merged trace is cut at the first chunk lost or \
+         malformed (every rank keeps a prefix of its events), and a \
+         recovery report (frames dropped, ranks missing, events recovered \
+         and lost per group of ranks) is printed.  With $(b,-o) the \
+         recovered trace is re-saved as a clean framed file.  Exit status \
+         is 12 when nothing usable survived, or when \
          $(b,--recovery=strict) and the file shows any damage.";
     ]
   in

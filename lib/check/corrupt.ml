@@ -3,7 +3,7 @@
    Where {!Campaign} fuzzes the pipeline's *semantics* with random
    programs, this module fuzzes its *ingestion* with damaged trace
    files: take a known-good framed trace, mutilate it (bit flips,
-   truncations — including one at every frame boundary — whole-rank
+   truncations — including one at every frame boundary — whole-chunk
    ablation, garbled headers, and checksum-valid edits), and assert the
    robustness contract:
 
@@ -105,6 +105,13 @@ let frame_boundaries bytes =
   in
   go 0 []
 
+(* Byte offsets of the chunk frames' header lines. *)
+let chunk_frames bytes =
+  List.filter
+    (fun pos ->
+      String.length bytes - pos > 12 && String.sub bytes pos 12 = "frame chunk:")
+    (frame_boundaries bytes)
+
 (* ------------------------------------------------------------------ *)
 (* Mutations                                                            *)
 
@@ -127,25 +134,18 @@ let mutate rng bytes =
           let i = List.nth bs (Random.State.int rng (List.length bs)) in
           (Printf.sprintf "truncate-boundary@%d" i, String.sub bytes 0 i))
   | 3 -> (
-      (* ablate one whole rank frame: header line + payload + separator *)
+      (* ablate one whole chunk frame: header line + payload + separator *)
       let bs = frame_boundaries bytes in
-      let rank_frames =
-        List.filter
-          (fun pos ->
-            String.length bytes - pos > 11
-            && String.sub bytes pos 11 = "frame rank:")
-          bs
-      in
-      match rank_frames with
+      match chunk_frames bytes with
       | [] -> ("noop", bytes)
-      | rf ->
-          let start = List.nth rf (Random.State.int rng (List.length rf)) in
+      | cf ->
+          let start = List.nth cf (Random.State.int rng (List.length cf)) in
           let stop =
             match List.find_opt (fun b -> b > start) bs with
             | Some b -> b
             | None -> String.length bytes
           in
-          ( Printf.sprintf "ablate-frame@%d" start,
+          ( Printf.sprintf "ablate-chunk@%d" start,
             String.sub bytes 0 start
             ^ String.sub bytes stop (String.length bytes - stop) ))
   | _ -> (
@@ -192,6 +192,7 @@ let crafted bytes =
     1 + List.fold_left (fun m (id, _) -> max m id) 0 (Scalatrace.Trace.comms trace)
   in
   let total = Scalatrace.Trace.event_count trace in
+  let chunks = List.length (chunk_frames bytes) in
   let terminator = String.length bytes - String.length "frame end 0 00000000\n" in
   (* the header frame comes first: magic line, header line, "nranks N" *)
   let separator =
@@ -199,10 +200,10 @@ let crafted bytes =
   in
   [
     ("bad-separator", splice bytes ~pos:separator ~len:1 "X");
-    ( "extra-rank-frame",
+    ( "extra-chunk-frame",
       splice bytes ~pos:terminator ~len:0
         (Scalatrace.Trace_io.frame_header
-           ~kind:(Printf.sprintf "rank:%d" (Scalatrace.Trace.nranks trace))
+           ~kind:(Printf.sprintf "chunk:%d" chunks)
            ~payload:""
         ^ "\n\n") );
     ( "manifest-total",
@@ -211,7 +212,8 @@ let crafted bytes =
            ~before:(Printf.sprintf "events %d\n" total)
            ~after:(Printf.sprintf "events %d\n" (total + 1))) );
     ( "undeclared-comm",
-      rewrite_frame bytes ~kind:"rank:0"
+      rewrite_frame bytes
+        ~kind:(Printf.sprintf "chunk:%d" (chunks - 1))
         (replace_first ~before:" comm=0 "
            ~after:(Printf.sprintf " comm=%d " undeclared)) );
   ]
@@ -220,10 +222,10 @@ let crafted bytes =
 (* One case                                                             *)
 
 let surviving_ranks (report : Scalatrace.Trace_io.report) =
-  List.length
-    (List.filter
-       (fun (rr : Scalatrace.Trace_io.rank_recovery) -> rr.rr_events > 0)
-       report.per_rank)
+  List.fold_left
+    (fun n (rr : Scalatrace.Trace_io.rank_recovery) ->
+      if rr.rr_events > 0 then n + Util.Rank_set.cardinal rr.rr_ranks else n)
+    0 report.per_rank
 
 (* Run one mutated byte string through strict load, the reader and the
    best-effort pipeline → parse → replay, classifying the outcome and

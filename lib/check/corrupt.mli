@@ -2,12 +2,12 @@
 
     Where {!Campaign} fuzzes the pipeline's semantics with random
     programs, this module fuzzes its ingestion with damaged trace files:
-    each case takes a known-good framed (v2) trace from a registry
+    each case takes a known-good framed trace from a registry
     application, applies a seeded mutation (bit flip, truncation at a
-    random offset or at a frame boundary, whole-rank-frame ablation,
+    random offset or at a frame boundary, whole-chunk-frame ablation,
     garbled frame header), and checks the robustness contract.  Each
     baseline also gets four checksum-valid edits no CRC can see: the
-    header frame's separator overwritten, an extra rank frame beyond
+    header frame's separator overwritten, an extra chunk frame beyond
     the declared count, the manifest's [events] total changed, and one
     event moved to an undeclared communicator.  The contract:
 
@@ -49,9 +49,10 @@ type config = {
 }
 
 (** The four checksum-valid edits of a clean framed trace, as
-    [(mutation, bytes)]: ["bad-separator"], ["extra-rank-frame"],
-    ["manifest-total"] and ["undeclared-comm"] (rank 0's first event
-    moved to one past the highest declared communicator). *)
+    [(mutation, bytes)]: ["bad-separator"], ["extra-chunk-frame"],
+    ["manifest-total"] and ["undeclared-comm"] (the last chunk's first
+    event on communicator 0 moved to one past the highest declared
+    communicator). *)
 val crafted : string -> (string * string) list
 
 (** 100 seeds over ring/stencil2d/butterfly/cg at 8 ranks, with the

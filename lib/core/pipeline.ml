@@ -271,7 +271,7 @@ let load_with_recovery cfg ~warn metrics path =
             Obs.Metrics.inc metrics ~by:report.frames_dropped
               "salvage.frames_dropped";
             Obs.Metrics.inc metrics
-              ~by:(List.length report.ranks_missing)
+              ~by:report.ranks_missing
               "salvage.ranks_missing";
             (match Scalatrace.Trace_io.events_lost report with
             | Some n -> Obs.Metrics.inc metrics ~by:n "salvage.events_lost"

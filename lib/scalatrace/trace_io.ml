@@ -51,16 +51,51 @@ let kind_of_string line s =
       | "MPI_Finalize" -> Event.E_finalize
       | s -> fail line "unknown operation %S" s)
 
-let peer_to_string (p : Event.peer) =
+let add_peer buf (p : Event.peer) =
   match p with
-  | Event.P_none -> "none"
-  | Event.P_any -> "any"
-  | Event.P_abs a -> Printf.sprintf "abs:%d" a
-  | Event.P_rel d -> Printf.sprintf "rel:%d" d
+  | Event.P_none -> Buffer.add_string buf "none"
+  | Event.P_any -> Buffer.add_string buf "any"
+  | Event.P_abs a ->
+      Buffer.add_string buf "abs:";
+      Buffer.add_string buf (string_of_int a)
+  | Event.P_rel d ->
+      Buffer.add_string buf "rel:";
+      Buffer.add_string buf (string_of_int d)
   | Event.P_map m ->
-      "map:"
-      ^ String.concat ","
-          (List.map (fun (r, p) -> Printf.sprintf "%d>%d" r p) m)
+      Buffer.add_string buf "map:";
+      List.iteri
+        (fun i (r, p) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf (string_of_int r);
+          Buffer.add_char buf '>';
+          Buffer.add_string buf (string_of_int p))
+        m
+
+(* The "r>p,r>p,..." entries of [s] from byte [i]: a map peer lists
+   every rank, so this scans digits in place rather than splitting. *)
+let map_of_string line s i =
+  let n = String.length s in
+  let bad () = fail line "bad peer %S" s in
+  let int i =
+    let neg = i < n && s.[i] = '-' in
+    let start = if neg then i + 1 else i in
+    let j = ref start and v = ref 0 in
+    while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
+      v := (!v * 10) + Char.code s.[!j] - 48;
+      incr j
+    done;
+    if !j = start || !j - start > 18 then bad ();
+    ((if neg then - !v else !v), !j)
+  in
+  let rec entries i acc =
+    let r, i = int i in
+    if i >= n || s.[i] <> '>' then bad ();
+    let p, i = int (i + 1) in
+    if i = n then List.rev ((r, p) :: acc)
+    else if s.[i] = ',' then entries (i + 1) ((r, p) :: acc)
+    else bad ()
+  in
+  if i = n then [] else entries i []
 
 let peer_of_string line s =
   let num tail = try int_of_string tail with Failure _ -> fail line "bad peer %S" s in
@@ -76,21 +111,7 @@ let peer_of_string line s =
       match head with
       | "abs" -> Event.P_abs (num tail)
       | "rel" -> Event.P_rel (num tail)
-      | "map" ->
-          let entries =
-            if tail = "" then []
-            else
-              List.map
-                (fun pair ->
-                  match String.index_opt pair '>' with
-                  | Some j ->
-                      let r = String.sub pair 0 j in
-                      let p = String.sub pair (j + 1) (String.length pair - j - 1) in
-                      (num r, num p)
-                  | None -> fail line "bad peer map entry %S" pair)
-                (String.split_on_char ',' tail)
-          in
-          Event.P_map entries
+      | "map" -> Event.P_map (map_of_string line s (i + 1))
       | _ -> fail line "bad peer %S" s)
 
 let ranks_to_string set =
@@ -99,20 +120,18 @@ let ranks_to_string set =
        (fun (first, last, stride) -> Printf.sprintf "%d:%d:%d" first last stride)
        (Util.Rank_set.intervals set))
 
+(* Intervals are written ascending, so the set is rebuilt in time and
+   space linear in the intervals, never in the ranks they cover. *)
 let ranks_of_string line s =
   if s = "" then Util.Rank_set.empty
   else
-    List.fold_left
-      (fun acc part ->
-        match String.split_on_char ':' part with
-        | [ f; l; st ] -> (
-            try
-              Util.Rank_set.union acc
-                (Util.Rank_set.range ~stride:(int_of_string st) (int_of_string f)
-                   (int_of_string l))
-            with Failure _ | Invalid_argument _ -> fail line "bad rank interval %S" part)
-        | _ -> fail line "bad rank interval %S" part)
-      Util.Rank_set.empty (String.split_on_char ',' s)
+    let interval part =
+      match List.map int_of_string_opt (String.split_on_char ':' part) with
+      | [ Some f; Some l; Some st ] when f >= 0 && f <= l && st > 0 -> (f, l, st)
+      | _ -> fail line "bad rank interval %S" part
+    in
+    try Util.Rank_set.of_intervals (List.map interval (String.split_on_char ',' s))
+    with Invalid_argument _ -> fail line "rank intervals out of order in %S" s
 
 let vec_to_string = function
   | None -> "-"
@@ -124,41 +143,50 @@ let vec_of_string line = function
       try Some (Array.of_list (List.map int_of_string (String.split_on_char ',' s)))
       with Failure _ -> fail line "bad size vector %S" s)
 
-let event_to_line (e : Event.t) =
-  (* [parts=] is emitted only for partial participant sets, so every
-     trace written before neighborhood collectives existed reproduces
-     byte-identically. *)
-  let parts_field =
-    match e.parts with
-    | None -> ""
-    | Some ps -> " parts=" ^ vec_to_string (Some ps)
-  in
-  Printf.sprintf "event %s peer=%s bytes=%d vec=%s tag=%d comm=%d ranks=%s dt=%d;%.17g;%.17g;%.17g;%.17g%s site=%s"
-    (kind_to_string e.kind) (peer_to_string e.peer) e.bytes (vec_to_string e.vec)
-    e.tag e.comm (ranks_to_string e.ranks)
-    (Util.Histogram.count e.dtime) (Util.Histogram.sum e.dtime)
-    (Util.Histogram.min_value e.dtime) (Util.Histogram.max_value e.dtime)
-    (Util.Histogram.first_sample e.dtime)
-    parts_field
-    (Util.Callsite.encode e.site)
+let add_event buf (e : Event.t) =
+  let field key = Buffer.add_char buf ' '; Buffer.add_string buf key in
+  Buffer.add_string buf "event ";
+  Buffer.add_string buf (kind_to_string e.kind);
+  field "peer=";
+  add_peer buf e.peer;
+  field "bytes=";
+  Buffer.add_string buf (string_of_int e.bytes);
+  field "vec=";
+  Buffer.add_string buf (vec_to_string e.vec);
+  field "tag=";
+  Buffer.add_string buf (string_of_int e.tag);
+  field "comm=";
+  Buffer.add_string buf (string_of_int e.comm);
+  field "ranks=";
+  Buffer.add_string buf (ranks_to_string e.ranks);
+  Buffer.add_string buf
+    (Printf.sprintf " dt=%d;%.17g;%.17g;%.17g;%.17g"
+       (Util.Histogram.count e.dtime) (Util.Histogram.sum e.dtime)
+       (Util.Histogram.min_value e.dtime) (Util.Histogram.max_value e.dtime)
+       (Util.Histogram.first_sample e.dtime));
+  (* [parts=] is emitted only for partial participant sets *)
+  Option.iter
+    (fun ps ->
+      field "parts=";
+      Buffer.add_string buf (vec_to_string (Some ps)))
+    e.parts;
+  field "site=";
+  Buffer.add_string buf (Util.Callsite.encode e.site)
 
-let add_nodes buf depth ns =
-  let rec go depth ns =
-    List.iter
-      (fun n ->
-        let indent = String.make (2 * depth) ' ' in
-        match n with
-        | Tnode.Leaf e ->
-            Buffer.add_string buf indent;
-            Buffer.add_string buf (event_to_line e);
-            Buffer.add_char buf '\n'
-        | Tnode.Loop { count; body; _ } ->
-            Buffer.add_string buf (Printf.sprintf "%sloop %d\n" indent count);
-            go (depth + 1) body;
-            Buffer.add_string buf (indent ^ "end\n"))
-      ns
-  in
-  go depth ns
+(* Write [node] at [depth]; returns the number of lines written. *)
+let rec add_node buf depth node =
+  let indent = String.make (2 * depth) ' ' in
+  match node with
+  | Tnode.Leaf e ->
+      Buffer.add_string buf indent;
+      add_event buf e;
+      Buffer.add_char buf '\n';
+      1
+  | Tnode.Loop { count; body; _ } ->
+      Buffer.add_string buf (Printf.sprintf "%sloop %d\n" indent count);
+      let lines = List.fold_left (fun n b -> n + add_node buf (depth + 1) b) 2 body in
+      Buffer.add_string buf (indent ^ "end\n");
+      lines
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                              *)
@@ -169,9 +197,10 @@ let parse_event lineno rest =
   let site_marker = " site=" in
   let site_pos =
     let n = String.length rest and m = String.length site_marker in
+    let rec matches i j = j = m || (rest.[i + j] = site_marker.[j] && matches i (j + 1)) in
     let rec go i =
       if i + m > n then fail lineno "missing site field"
-      else if String.sub rest i m = site_marker then i
+      else if matches i 0 then i
       else go (i + 1)
     in
     go 0
@@ -189,30 +218,17 @@ let parse_event lineno rest =
   match String.split_on_char ' ' head with
   | kind_s :: fields ->
       let kind = kind_of_string lineno kind_s in
-      let get key =
-        let prefix = key ^ "=" in
-        match
-          List.find_opt
-            (fun f ->
-              String.length f >= String.length prefix
-              && String.sub f 0 (String.length prefix) = prefix)
-            fields
-        with
-        | Some f ->
-            String.sub f (String.length prefix) (String.length f - String.length prefix)
-        | None -> fail lineno "missing field %s" key
-      in
-      let get_opt key =
-        let prefix = key ^ "=" in
-        Option.map
+      let fields =
+        List.filter_map
           (fun f ->
-            String.sub f (String.length prefix)
-              (String.length f - String.length prefix))
-          (List.find_opt
-             (fun f ->
-               String.length f >= String.length prefix
-               && String.sub f 0 (String.length prefix) = prefix)
-             fields)
+            Option.map
+              (fun i -> (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)))
+              (String.index_opt f '='))
+          fields
+      in
+      let get_opt key = List.assoc_opt key fields in
+      let get key =
+        match get_opt key with Some v -> v | None -> fail lineno "missing field %s" key
       in
       let int_field key =
         try int_of_string (get key) with Failure _ -> fail lineno "bad %s" key
@@ -245,56 +261,149 @@ let parse_event lineno rest =
       }
   | [] -> fail lineno "empty event"
 
+(* ------------------------------------------------------------------ *)
+(* Per-rank event counts                                                *)
+
+(* What the timing manifest says about one rank. *)
+type listing = Listed of int | Unlisted | Listed_twice
+
+(* The event count of every rank in [0, nranks) for [nodes], next to the
+   count [expect] lists for it ((count, ranks) pairs), as groups of ranks
+   sharing both — interval-coded, in ascending order of their lowest
+   rank.  The ranks are swept segment by segment between the endpoints
+   of every interval in the tree and the manifest.  A segment no strided
+   interval crosses has one count for all its ranks, so the sweep visits
+   ranks one by one only where strided rank sets interleave.  What it
+   builds is sized by the intervals, never by [nranks] itself. *)
+let tally ~nranks nodes ~expect =
+  let flat = ref [] and strided = ref [] in
+  let rec walk mult = function
+    | Tnode.Leaf e ->
+        List.iter
+          (fun (f, l, st) ->
+            if f = l || st = 1 then flat := (f, mult) :: (l + 1, -mult) :: !flat
+            else strided := (f, l, st, mult) :: !strided)
+          (Util.Rank_set.intervals e.Event.ranks)
+    | Tnode.Loop { count; body; _ } -> List.iter (walk (mult * count)) body
+  in
+  List.iter (walk 1) nodes;
+  let listed =
+    List.concat_map
+      (fun (c, set) ->
+        List.map (fun (f, l, st) -> (f, l, st, c)) (Util.Rank_set.intervals set))
+      expect
+  in
+  let by_first (a, _, _, _) (b, _, _, _) = compare a b in
+  let flat = Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) !flat)
+  and strided = Array.of_list (List.sort by_first !strided)
+  and listed = Array.of_list (List.sort by_first listed) in
+  let bounds =
+    List.sort_uniq compare
+      (List.filter
+         (fun p -> p >= 0 && p <= nranks)
+         (0 :: nranks
+          :: (Array.to_list (Array.map fst flat)
+             @ List.concat_map
+                 (fun (f, l, _, _) -> [ f; l + 1 ])
+                 (Array.to_list strided @ Array.to_list listed))))
+  in
+  let groups = Hashtbl.create 8 and order = ref [] in
+  let add key iv =
+    let b =
+      match Hashtbl.find_opt groups key with
+      | Some b -> b
+      | None ->
+          let b = Util.Rank_set.builder () in
+          Hashtbl.add groups key b;
+          order := key :: !order;
+          b
+    in
+    Util.Rank_set.push b iv
+  in
+  let mem r (f, l, st, _) = r >= f && r <= l && (r - f) mod st = 0 in
+  (* [active spans next a] admits the spans starting by [a] and retires
+     those ending before it *)
+  let active spans next a live =
+    let live = ref live in
+    let first (f, _, _, _) = f in
+    while !next < Array.length spans && first spans.(!next) <= a do
+      live := spans.(!next) :: !live;
+      incr next
+    done;
+    List.filter (fun (_, l, _, _) -> l >= a) !live
+  in
+  let fi = ref 0 and sum = ref 0 and si = ref 0 and li = ref 0 in
+  let rec sweep live_s live_l = function
+    | a :: (b :: _ as rest) ->
+        while !fi < Array.length flat && fst flat.(!fi) <= a do
+          sum := !sum + snd flat.(!fi);
+          incr fi
+        done;
+        let live_s = active strided si a live_s and live_l = active listed li a live_l in
+        let key r =
+          let count =
+            List.fold_left
+              (fun acc ((_, _, _, w) as sp) -> if mem r sp then acc + w else acc)
+              !sum live_s
+          in
+          ( count,
+            match List.filter (mem r) live_l with
+            | [] -> Unlisted
+            | [ (_, _, _, c) ] -> Listed c
+            | _ -> Listed_twice )
+        in
+        if b - a = 1 || (live_s = [] && List.for_all (fun (_, _, st, _) -> st = 1) live_l)
+        then add (key a) (a, b - 1, 1)
+        else
+          for r = a to b - 1 do
+            add (key r) (r, r, 1)
+          done;
+        sweep live_s live_l rest
+    | _ -> ()
+  in
+  sweep [] [] bounds;
+  List.rev_map (fun key -> (key, Util.Rank_set.build (Hashtbl.find groups key))) !order
 
 (* ------------------------------------------------------------------ *)
-(* Framed format v2                                                     *)
+(* Framed format v3                                                     *)
 
 (* Container layout (text-friendly, binary-safe):
 
-     scalatrace-frames 2\n
+     scalatrace-frames 3\n
      frame <kind> <len> <crc32-hex8>\n
      <len payload bytes>\n
      ...
      frame end 0 00000000\n
 
-   Kinds: [header] (nranks), [comms] (communicator table), [rank:<r>]
-   (rank r's RSD stream, singleton participant sets, concrete peers,
-   timing on the lowest participating rank only), [timing] (per-rank
-   event-count manifest).  Each frame's CRC-32 covers exactly its
-   payload bytes, so corruption is localized to one section: a flipped
-   byte invalidates one frame, a truncation costs the tail — which is
-   what lets the reader recover every intact section. *)
+   Kinds, in file order: [header] (nranks), [comms] (communicator
+   table), [chunk:0], [chunk:1], ... (the merged trace's top-level
+   nodes, in order, with their rank sets and generalized peers), and
+   [timing] (the manifest: the event total, the chunk count, and every
+   rank's event count as rank intervals grouped by count).  Each frame's
+   CRC-32 covers exactly its payload bytes, so corruption is localized
+   to one frame: a flipped byte invalidates one chunk, a truncation
+   costs the tail — and since chunks hold consecutive nodes of the one
+   merged trace, what survives before the first lost chunk is a prefix
+   of every rank's events. *)
 
-let magic = "scalatrace-frames 2"
+let version = 3
+let magic = Printf.sprintf "scalatrace-frames %d" version
+
+(* A chunk frame closes at the first top-level node boundary after this
+   many lines. *)
+let chunk_lines = 4
+
+(* The largest rank count a file may declare.  The merged trace stays
+   nearly the same size whatever the rank count (an EP trace at 1024
+   ranks is ~800 bytes), so a count cannot be checked against the file
+   size; above this ceiling it is damage.  The reader sizes nothing by
+   the count itself: per-rank state follows the rank sets the file
+   spells out. *)
+let max_ranks = 1 lsl 20
 
 let frame_header ~kind ~payload =
   Printf.sprintf "frame %s %d %s" kind (String.length payload)
     (Util.Crc32.to_hex (Util.Crc32.string payload))
-
-(* Rank [rank]'s serializable stream: its projection with participant
-   sets narrowed to the singleton and generalized peers resolved to the
-   concrete value — the same shape the tracer's per-rank collectors
-   produce, which is what lets the loader re-merge streams with the
-   production {!Merge} path.  Compute-time summaries ride on the lowest
-   participating rank only ("owner"), so re-merging does not double-count
-   timing. *)
-let rank_stream trace ~rank =
-  let nranks = Trace.nranks trace in
-  Tnode.map_leaves
-    (fun (e : Event.t) ->
-      let owner = Util.Rank_set.min_elt e.ranks = Some rank in
-      let e' = Event.copy e in
-      e'.Event.ranks <- Util.Rank_set.singleton rank;
-      (match e'.Event.peer with
-      | Event.P_map _ | Event.P_rel _ -> (
-          match Event.peer_of e ~rank ~nranks with
-          | Some p -> e'.Event.peer <- Event.P_abs p
-          | None -> e'.Event.peer <- Event.P_none)
-      | Event.P_none | Event.P_any | Event.P_abs _ -> ());
-      if not owner then
-        { e' with Event.dtime = Util.Histogram.create (); hcache = 0 }
-      else e')
-    (Trace.project trace ~rank)
 
 let to_framed trace =
   let buf = Buffer.create 8192 in
@@ -314,24 +423,31 @@ let to_framed trace =
           (fun (id, members) ->
             Printf.sprintf "comm %d %s" id (ranks_to_string members))
           (Trace.comms trace)));
-  let manifest = Buffer.create 256 in
-  Buffer.add_string manifest
-    (Printf.sprintf "events %d" (Trace.event_count trace));
-  for rank = 0 to nranks - 1 do
-    let stream = rank_stream trace ~rank in
-    let b = Buffer.create 1024 in
-    add_nodes b 0 stream;
-    (* payloads carry no trailing newline; the container adds the separator *)
-    let payload =
-      let s = Buffer.contents b in
-      let n = String.length s in
-      if n > 0 && s.[n - 1] = '\n' then String.sub s 0 (n - 1) else s
-    in
-    frame (Printf.sprintf "rank:%d" rank) payload;
-    Buffer.add_string manifest
-      (Printf.sprintf "\nrank %d %d" rank (Tnode.event_count stream))
-  done;
-  frame "timing" (Buffer.contents manifest);
+  let chunk = Buffer.create 4096 and lines = ref 0 and chunks = ref 0 in
+  let flush () =
+    if !lines > 0 then (
+      (* payloads carry no trailing newline; the container adds the separator *)
+      frame
+        (Printf.sprintf "chunk:%d" !chunks)
+        (Buffer.sub chunk 0 (Buffer.length chunk - 1));
+      Buffer.clear chunk;
+      lines := 0;
+      incr chunks)
+  in
+  List.iter
+    (fun node ->
+      lines := !lines + add_node chunk 0 node;
+      if !lines >= chunk_lines then flush ())
+    (Trace.nodes trace);
+  flush ();
+  frame "timing"
+    (String.concat "\n"
+       (Printf.sprintf "events %d" (Trace.event_count trace)
+       :: Printf.sprintf "chunks %d" !chunks
+       :: List.map
+            (fun ((count, _), ranks) ->
+              Printf.sprintf "count %d %s" count (ranks_to_string ranks))
+            (tally ~nranks (Trace.nodes trace) ~expect:[])));
   Buffer.add_string buf "frame end 0 00000000\n";
   Buffer.contents buf
 
@@ -341,24 +457,22 @@ let to_framed trace =
 (* There is one reader.  It never raises: it scans the container with
    resynchronization (a frame whose header is garbled or whose checksum
    fails is dropped; scanning resumes at the next line starting with
-   "frame "), rebuilds a trace from whatever sections survived, and
-   records every defect it meets as damage.  Rank streams are cut to
-   their longest well-formed prefix; missing sections are reconstructed
-   from redundant ones (nranks from the timing manifest or the
-   rank-frame indices, the communicator table defaults to
-   MPI_COMM_WORLD).  Strict loading is the verdict "no damage". *)
+   "frame "), loads the chunks in order up to the first one lost or
+   malformed, and records every defect it meets as damage.  Missing
+   sections are reconstructed from redundant ones (nranks from the
+   manifest or the communicator table, the communicator table defaults
+   to MPI_COMM_WORLD).  Strict loading is the verdict "no damage". *)
 
 type rank_recovery = {
-  rr_rank : int;
+  rr_ranks : Util.Rank_set.t;
   rr_events : int;
   rr_events_lost : int option;
-  rr_truncated : bool;
 }
 
 type report = {
   frames_seen : int;
   frames_dropped : int;
-  ranks_missing : int list;
+  ranks_missing : int;
   per_rank : rank_recovery list;
   notes : string list;
   damage : string list;
@@ -373,53 +487,52 @@ let events_lost r =
   List.fold_left
     (fun acc rr ->
       match (acc, rr.rr_events_lost) with
-      | Some a, Some l -> Some (a + l)
+      | Some a, Some l -> Some (a + (l * Util.Rank_set.cardinal rr.rr_ranks))
       | _ -> None)
     (Some 0) r.per_rank
 
 let report_to_string r =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "salvage report (format v2): %d/%d frames intact"
+    (Printf.sprintf "salvage report (format v%d): %d/%d frames intact" version
        (r.frames_seen - r.frames_dropped)
        r.frames_seen);
   (match events_lost r with
   | Some 0 -> ()
   | Some n -> Buffer.add_string b (Printf.sprintf ", %d events lost" n)
   | None -> Buffer.add_string b ", events lost unknown");
-  if r.ranks_missing <> [] then
+  if r.ranks_missing > 0 then
     Buffer.add_string b
-      (Printf.sprintf "\n  ranks missing entirely: %s"
-         (String.concat "," (List.map string_of_int r.ranks_missing)));
+      (Printf.sprintf "\n  %d ranks missing entirely" r.ranks_missing);
   List.iter
     (fun rr ->
-      if rr.rr_truncated then
+      if rr.rr_events_lost <> Some 0 then
         Buffer.add_string b
-          (Printf.sprintf "\n  rank %d: %d events recovered%s (stream truncated)"
-             rr.rr_rank rr.rr_events
+          (Printf.sprintf "\n  ranks %s: %d events recovered each%s"
+             (Util.Rank_set.to_string rr.rr_ranks)
+             rr.rr_events
              (match rr.rr_events_lost with
-             | Some l -> Printf.sprintf ", %d lost" l
+             | Some l -> Printf.sprintf ", %d lost each" l
              | None -> ", losses unknown")))
     r.per_rank;
   List.iter (fun n -> Buffer.add_string b ("\n  note: " ^ n)) r.notes;
   Buffer.add_char b '\n';
   Buffer.contents b
 
-(* One rank frame's node stream, cut to its longest well-formed prefix
-   (open loops at the cut are dropped wholesale: their counts and bodies
-   are not trustworthy).  An event on a communicator outside [known] is
-   a defect of the stream, which is cut there — unless [drop_unknown]
-   (the communicator table itself was lost and [known] is a guess): then
-   the event is dropped where it stands, with any loop the drop leaves
-   empty, on every rank alike.  Either way clean input builds its node
-   lists once. *)
-type stream = {
+(* One chunk's nodes, cut to their longest well-formed prefix (open
+   loops at the cut are dropped wholesale: their counts and bodies are
+   not trustworthy).  An event on a communicator outside [known] is a
+   defect, and the chunk is cut there — unless [drop_unknown] (the
+   communicator table itself was lost and [known] is a guess): then the
+   event is dropped where it stands, with any loop the drop leaves
+   empty.  Clean input builds its node lists once. *)
+type chunk = {
   nodes : Tnode.t list;
-  error : (int * string) option;  (** where and why the stream was cut *)
+  error : (int * string) option;  (** where and why the chunk was cut *)
   dropped : int;  (** events dropped under [drop_unknown] *)
 }
 
-let parse_stream ~known ~drop_unknown payload =
+let parse_chunk ~nranks ~known ~drop_unknown payload =
   let cur = ref [] and opened = ref [] and dropped = ref 0 in
   let step lineno line =
     match String.index_opt line ' ' with
@@ -439,12 +552,19 @@ let parse_stream ~known ~drop_unknown payload =
         match word with
         | "loop" ->
             let count =
-              try int_of_string rest with Failure _ -> fail lineno "bad loop count"
+              match int_of_string_opt rest with
+              | Some c when c > 0 -> c
+              | _ -> fail lineno "bad loop count"
             in
             opened := (count, !dropped, !cur) :: !opened;
             cur := []
         | "event" ->
             let e = parse_event lineno rest in
+            (match Util.Rank_set.max_elt e.Event.ranks with
+            | Some r when r < nranks -> ()
+            | _ ->
+                fail lineno "event ranks %s not within 0..%d"
+                  (Util.Rank_set.to_string e.Event.ranks) (nranks - 1));
             if List.mem e.Event.comm known then cur := Tnode.Leaf e :: !cur
             else if drop_unknown then incr dropped
             else fail lineno "event on undeclared communicator %d" e.Event.comm
@@ -577,33 +697,43 @@ let parse_comms_payload payload =
         | _ -> fail 1 "bad comms frame line %S" line)
     (String.split_on_char '\n' payload)
 
-(* Best-effort read of the manifest: total event count and per-rank
-   expected event counts. *)
-let parse_timing_payload payload =
-  let events = ref None and per_rank = ref [] in
-  List.iter
-    (fun raw ->
-      let line = String.trim raw in
-      match String.split_on_char ' ' line with
-      | [ "events"; v ] -> events := int_of_string_opt v
-      | [ "rank"; r; c ] -> (
-          match (int_of_string_opt r, int_of_string_opt c) with
-          | Some r, Some c -> per_rank := (r, c) :: !per_rank
-          | _ -> ())
-      | _ -> ())
-    (String.split_on_char '\n' payload);
-  (!events, List.rev !per_rank)
+type manifest = {
+  m_events : int option;
+  m_chunks : int option;
+  m_counts : (int * Util.Rank_set.t) list;  (** (events per rank, ranks) *)
+  m_bad : (int * string) list;  (** lines it cannot read *)
+}
 
-let rank_of_kind kind =
-  if String.starts_with ~prefix:"rank:" kind then
-    int_of_string_opt (String.sub kind 5 (String.length kind - 5))
+let parse_manifest payload =
+  let events = ref None and chunks = ref None and counts = ref [] and bad = ref [] in
+  List.iteri
+    (fun i raw ->
+      match String.split_on_char ' ' (String.trim raw) with
+      | [ "events"; v ] when int_of_string_opt v <> None -> events := int_of_string_opt v
+      | [ "chunks"; v ] when int_of_string_opt v <> None -> chunks := int_of_string_opt v
+      | [ "count"; c; ranks ] when int_of_string_opt c <> None -> (
+          match ranks_of_string (i + 1) ranks with
+          | set -> counts := (int_of_string c, set) :: !counts
+          | exception Damage (line, what) -> bad := (line, what) :: !bad)
+      | _ -> bad := (i + 1, Printf.sprintf "bad line %S" raw) :: !bad)
+    (String.split_on_char '\n' payload);
+  {
+    m_events = !events;
+    m_chunks = !chunks;
+    m_counts = List.rev !counts;
+    m_bad = List.rev !bad;
+  }
+
+let chunk_of_kind kind =
+  if String.starts_with ~prefix:"chunk:" kind then
+    int_of_string_opt (String.sub kind 6 (String.length kind - 6))
   else None
 
 (* Damage is recorded in the order the checks run: container defects in
-   file order, then the header, the communicator table, the rank-frame
-   count, each rank stream in rank order, and last the timing manifest.
-   That order makes the first damage the error a loader that stops at
-   the first defect would report. *)
+   file order, then the header, the communicator table, the chunks in
+   order, and last the timing manifest.  That order makes the first
+   damage the error a loader that stops at the first defect would
+   report. *)
 let read text : outcome =
   let damage = ref [] and notes = ref [] in
   let damaged line fmt =
@@ -652,149 +782,169 @@ let read text : outcome =
     in
     let header = section "header" parse_header_payload in
     let comms = section "comms" parse_comms_payload in
-    let rank_frames =
-      List.filter_map
-        (fun (kind, payload) ->
-          match rank_of_kind kind with
-          | Some r when r >= 0 -> Some (r, payload)
-          | _ -> None)
-        frames
+    let manifest = Option.map parse_manifest (find "timing") in
+    (* nranks: the header frame, else the manifest's highest rank, else
+       the communicator table's (the world communicator is every rank). *)
+    let usable k = k > 0 && k <= max_ranks in
+    let highest sets =
+      List.fold_left
+        (fun acc set ->
+          match Util.Rank_set.max_elt set with Some r -> max acc (r + 1) | None -> acc)
+        0 sets
     in
-    (* The header checksum only proves the count was written, not that
-       it matches the rank frames present. *)
-    (let present =
-       List.length
-         (List.filter (fun (kind, _) -> String.starts_with ~prefix:"rank:" kind) frames)
-     in
-     match header with
-     | Some k when k <> present ->
-         damaged 1 "header declares %d ranks but the file has %d rank frames" k
-           present
-     | _ -> ());
-    let timing = Option.map parse_timing_payload (find "timing") in
-    (* nranks: header frame, else the timing manifest, else the highest
-       surviving rank index.  A count larger than the file could hold
-       (every rank costs at least one byte, a rank frame far more) is
-       damage, and falls through to the next source. *)
-    let plausible k = k > 0 && k <= String.length text in
-    let highest_rank rs = 1 + List.fold_left (fun a (r, _) -> max a r) 0 rs in
     let infer () =
-      let from_timing =
-        match timing with
-        | Some (_, per_rank) when per_rank <> [] -> Some (highest_rank per_rank)
-        | _ -> None
-      in
-      match (from_timing, rank_frames) with
-      | Some k, _ when plausible k -> Some k
-      | _, (_ :: _ as rf) when plausible (highest_rank rf) -> Some (highest_rank rf)
-      | _ -> None
+      let from_manifest =
+        Option.map (fun m -> highest (List.map snd m.m_counts)) manifest
+      and from_comms = Option.map (fun c -> highest (List.map snd c)) comms in
+      List.find_opt usable (List.filter_map Fun.id [ from_manifest; from_comms ])
     in
     let nranks, dropped =
       match header with
-      | Some k when plausible k -> (Some k, dropped)
+      | Some k when usable k -> (Some k, dropped)
       | Some k ->
-          note
-            "header frame declares %d ranks, more than the file could hold; \
-             inferring rank count"
-            k;
+          damaged 1 "header declares %d ranks, above the %d-rank ceiling" k max_ranks;
+          note "header frame declares %d ranks; inferring rank count" k;
           (infer (), dropped + 1)
       | None ->
           note "header frame lost; inferring rank count";
           (infer (), dropped)
     in
     match nranks with
-    | None -> unrecoverable "unrecoverable: no header, timing, or rank frames survived"
+    | None ->
+        unrecoverable
+          "unrecoverable: no header, timing, or comms frame gives a rank count"
     | Some nranks ->
+        let within set =
+          match Util.Rank_set.max_elt set with Some r -> r < nranks | None -> true
+        in
         let comms, drop_unknown =
           match comms with
-          | Some c -> (c, false)
-          | None ->
+          | Some c when List.for_all (fun (_, m) -> within m) c -> (c, false)
+          | c ->
+              if c <> None then
+                damaged 1 "comms frame names ranks beyond %d" (nranks - 1);
               note "comms frame %s; assuming MPI_COMM_WORLD only"
                 (if find "comms" = None then "lost" else "unreadable");
               ([ (0, Util.Rank_set.all nranks) ], true)
         in
         let known = List.map fst comms in
-        let expected_for r =
-          Option.bind timing (fun (_, per_rank) -> List.assoc_opt r per_rank)
+        let declared = Option.bind manifest (fun m -> m.m_chunks) in
+        (* chunks 0, 1, ... up to the declared count, or the first one
+           missing or malformed *)
+        let rec load i acc =
+          if declared = Some i then (i, acc, `Complete)
+          else
+            match find (Printf.sprintf "chunk:%d" i) with
+            | None -> (i, acc, `Gap)
+            | Some payload -> (
+                let c = parse_chunk ~nranks ~known ~drop_unknown payload in
+                if c.dropped > 0 then
+                  note "chunk %d: dropped %d events on unknown communicators" i
+                    c.dropped;
+                match c.error with
+                | None -> load (i + 1) (c.nodes :: acc)
+                | Some (line, what) ->
+                    damaged line "%s" what;
+                    note "chunk %d: line %d: %s" i line what;
+                    (i, c.nodes :: acc, `Malformed))
         in
-        let ranks_missing = ref [] and per_rank = ref [] in
-        let streams =
-          Array.init nranks (fun r ->
-              match find (Printf.sprintf "rank:%d" r) with
-              | None ->
-                  damaged 1 "missing frame for rank %d" r;
-                  ranks_missing := r :: !ranks_missing;
-                  per_rank :=
-                    {
-                      rr_rank = r;
-                      rr_events = 0;
-                      rr_events_lost = expected_for r;
-                      rr_truncated = true;
-                    }
-                    :: !per_rank;
-                  []
-              | Some payload ->
-                  let s = parse_stream ~known ~drop_unknown payload in
-                  Option.iter
-                    (fun (line, what) ->
-                      damaged line "%s" what;
-                      note "rank %d: line %d: %s" r line what)
-                    s.error;
-                  if s.dropped > 0 then
-                    note "rank %d: dropped %d events on unknown communicators" r
-                      s.dropped;
-                  let events = Tnode.event_count s.nodes in
-                  let cut = s.error <> None in
-                  per_rank :=
-                    {
-                      rr_rank = r;
-                      rr_events = events;
-                      rr_events_lost =
-                        (match expected_for r with
-                        | Some expect -> Some (max 0 (expect - events))
-                        | None -> if cut then None else Some 0);
-                      rr_truncated = cut || s.dropped > 0;
-                    }
-                    :: !per_rank;
-                  s.nodes)
+        let stop, chunks, ended = load 0 [] in
+        let nodes = List.concat (List.rev chunks) in
+        let later =
+          List.filter_map
+            (fun (kind, _) ->
+              match chunk_of_kind kind with Some j when j >= stop -> Some j | _ -> None)
+            frames
         in
-        if Array.for_all (fun s -> s = []) streams && dropped > 0 then
-          unrecoverable "unrecoverable: no rank stream survived"
+        let cut =
+          match (ended, declared) with
+          | `Complete, Some k ->
+              if later <> [] then
+                damaged 1 "timing frame declares %d chunks but the file has chunk %d"
+                  k (List.fold_left max 0 later);
+              false
+          | `Gap, Some k ->
+              damaged 1 "missing chunk frame %d of %d" stop k;
+              true
+          | `Gap, None ->
+              (* without the manifest, only a later chunk proves a gap
+                 (chunk [stop] itself is absent) *)
+              if later <> [] then damaged 1 "missing chunk frame %d" stop;
+              later <> []
+          | `Malformed, _ -> true
+          | `Complete, None -> false
+        in
+        if cut then
+          note "trace cut at chunk %d%s: every rank keeps only its events before it"
+            stop
+            (match declared with Some k -> Printf.sprintf " of %d" k | None -> "");
+        if nodes = [] && !damage <> [] then
+          unrecoverable "unrecoverable: no chunk survived"
         else
-          let trace = Merge.merge ~nranks ~comms streams in
-          (match timing with
-          | None -> damaged 1 "missing timing frame"
-          | Some (events, per_rank) ->
-              let loaded = Trace.event_count trace in
-              (match events with
-              | Some expect when expect <> loaded ->
-                  damaged 1 "event-count manifest mismatch (%d recorded, %d loaded)"
-                    expect loaded
-              | _ -> ());
-              List.iter
-                (fun (r, expect) ->
-                  if r >= 0 && r < nranks then
-                    let got = Tnode.event_count_for (Trace.nodes trace) ~rank:r in
-                    if got <> expect then
-                      damaged 1
-                        "rank %d event-count manifest mismatch (%d recorded, %d \
-                         loaded)"
-                        r expect got)
-                per_rank);
-          let per_rank = List.rev !per_rank and damage = List.rev !damage in
-          (* Damage the frame, rank and truncation lines cannot show (a
-             missing separator, a manifest edit, ...) is listed as notes,
-             so a degraded report never reads as intact. *)
+          let trace = Trace.make ~nranks ~comms ~nodes in
+          let expect =
+            match manifest with
+            | None ->
+                damaged 1 "missing timing frame";
+                []
+            | Some m ->
+                List.iter (fun (line, what) -> damaged line "timing frame: %s" what) m.m_bad;
+                let loaded = Trace.event_count trace in
+                (match m.m_events with
+                | Some expect when expect <> loaded ->
+                    damaged 1 "event-count manifest mismatch (%d recorded, %d loaded)"
+                      expect loaded
+                | _ -> ());
+                if not (List.for_all (fun (_, set) -> within set) m.m_counts) then
+                  damaged 1 "event-count manifest names ranks beyond %d" (nranks - 1);
+                m.m_counts
+          in
+          let per_rank =
+            List.map
+              (fun ((got, listing), ranks) ->
+                let lost =
+                  match (manifest, listing) with
+                  | None, _ -> None
+                  | Some _, Listed expect ->
+                      if got <> expect then
+                        damaged 1
+                          "ranks %s event-count manifest mismatch (%d recorded, %d loaded)"
+                          (Util.Rank_set.to_string ranks) expect got;
+                      Some (max 0 (expect - got))
+                  | Some _, Unlisted ->
+                      damaged 1 "ranks %s missing from the event-count manifest"
+                        (Util.Rank_set.to_string ranks);
+                      None
+                  | Some _, Listed_twice ->
+                      damaged 1 "ranks %s listed twice in the event-count manifest"
+                        (Util.Rank_set.to_string ranks);
+                      None
+                in
+                { rr_ranks = ranks; rr_events = got; rr_events_lost = lost })
+              (tally ~nranks nodes ~expect)
+          in
+          let ranks_missing =
+            List.fold_left
+              (fun n rr ->
+                if rr.rr_events = 0 && rr.rr_events_lost <> Some 0 then
+                  n + Util.Rank_set.cardinal rr.rr_ranks
+                else n)
+              0 per_rank
+          in
+          let damage = List.rev !damage in
+          (* Damage the frame, rank and loss lines cannot show (a missing
+             separator, a manifest edit, ...) is listed as notes, so a
+             degraded report never reads as intact. *)
           let shown =
-            dropped > 0 || !ranks_missing <> []
-            || List.exists (fun rr -> rr.rr_truncated) per_rank
+            dropped > 0 || ranks_missing > 0
+            || List.exists (fun rr -> rr.rr_events_lost <> Some 0) per_rank
           in
           Ok
             ( trace,
               {
                 frames_seen = seen;
                 frames_dropped = dropped;
-                ranks_missing = List.rev !ranks_missing;
+                ranks_missing;
                 per_rank;
                 notes = List.rev !notes @ (if shown then [] else damage);
                 damage;

@@ -2,24 +2,27 @@
 
     The on-disk format is the equivalent of ScalaTrace's trace files,
     which is what gets handed to the benchmark generator in the paper's
-    workflow (Figure 1).  It is a framed container (magic line
-    [scalatrace-frames 2]): length-prefixed sections (header /
-    communicator table / one RSD stream per rank / timing manifest),
-    each carrying a CRC-32 over its payload.  Payloads use a
+    workflow (Figure 1): the inter-node-compressed trace itself, one
+    RSD/PRSD tree whose nodes carry participant rank lists.  For SPMD
+    codes its size stays nearly flat as the rank count grows.
+
+    It is a framed container (magic line [scalatrace-frames 3]):
+    length-prefixed sections, each carrying a CRC-32 over its payload —
+    a header (the rank count), the communicator table, chunks of
+    consecutive top-level nodes of {!Trace.nodes}, and a timing manifest
+    (the event total, the chunk count, and every rank's event count,
+    written as rank intervals grouped by count).  Payloads use a
     line-oriented vocabulary ([loop N] / [event ...] / [end]) that stores
-    the full RSD/PRSD structure, peers, sizes, tags, and the timing
-    summaries (count/sum/min/max/first of each histogram; the bucket
-    detail is dropped, which only affects quantile reconstruction, not
-    the means that drive generation and replay).
+    the full RSD/PRSD structure, rank sets, peers (relative and mapped
+    peers as they are), sizes, tags, and the timing summaries
+    (count/sum/min/max/first of each histogram; the bucket detail is
+    dropped, which only affects quantile reconstruction, not the means
+    that drive generation and replay).
 
-    Corruption is localized to one frame, which is what {!read} exploits
-    to recover everything else.  Rank streams are stored
-    as singleton-participant projections with concrete peers (the
-    tracer's own collection shape) and re-merged on load with the
-    production {!Merge} path.
-
-    [of_string (to_framed t)] yields a trace whose structure,
-    projections, and timing means equal [t]'s. *)
+    Loading rebuilds the tree as written; nothing is re-merged.
+    [of_string (to_framed t)] yields a trace whose structure, rank sets,
+    peers and timing means equal [t]'s, and re-saving it reproduces the
+    same bytes. *)
 
 exception Format_error of string
 (** Parse failure; the message includes the offending line number, and
@@ -38,38 +41,47 @@ val frame_header : kind:string -> payload:string -> string
 (** {1 Reading}
 
     There is one reader, {!read}.  It recovers everything the damage
-    did not touch: frames with failing checksums are dropped, rank
-    streams are cut to their longest well-formed prefix, lost sections
-    are reconstructed from redundant ones, and the caller gets a typed
+    did not touch: frames with failing checksums are dropped, the chunks
+    load in order up to the first one lost or malformed (a malformed
+    chunk keeps its longest well-formed prefix), lost sections are
+    reconstructed from redundant ones, and the caller gets a typed
     {!report} of what was recovered, what was lost, and every defect
-    found.  Strict loading ({!of_string}, {!load}) is the reader's
-    zero-damage verdict. *)
+    found.  Since chunks hold consecutive nodes of the merged trace, a
+    cut keeps a prefix of every rank's events.  Strict loading
+    ({!of_string}, {!load}) is the reader's zero-damage verdict. *)
+
+val max_ranks : int
+(** The largest rank count a file may declare; a larger one is damage.
+    The reader allocates nothing sized by a declared count: per-rank
+    state follows the rank intervals the file spells out. *)
 
 type rank_recovery = {
-  rr_rank : int;
-  rr_events : int;  (** events recovered for this rank *)
+  rr_ranks : Util.Rank_set.t;  (** the ranks sharing this outcome *)
+  rr_events : int;  (** events recovered on each of them *)
   rr_events_lost : int option;
-      (** events lost vs. the timing manifest; [None] when the manifest
-          itself was lost *)
-  rr_truncated : bool;  (** stream cut short or filtered *)
+      (** events lost on each of them vs. the timing manifest; [None]
+          when the manifest was lost or does not list them once *)
 }
 
 type report = {
   frames_seen : int;
   frames_dropped : int;
       (** checksum failures, garbled headers, a missing terminator, and
-          an implausible header rank count *)
-  ranks_missing : int list;  (** ranks whose stream frame vanished *)
+          a header rank count above {!max_ranks} *)
+  ranks_missing : int;
+      (** ranks with no event recovered that were not known to have none *)
   per_rank : rank_recovery list;
+      (** every rank, grouped by outcome, in ascending order of the
+          groups' lowest ranks *)
   notes : string list;  (** human-readable recovery decisions *)
   damage : string list;
       (** every defect, as ["line N: ..."], in the order the checks
           run: container defects in file order, then the header, the
-          communicator table, the rank-frame count, each rank stream,
-          and the timing manifest.  Besides lost data this covers a
-          missing frame separator, a rank-frame count the header does
-          not declare, a manifest total or per-rank count the streams
-          do not match, and an event on an undeclared communicator. *)
+          communicator table, each chunk in order, and the timing
+          manifest.  Besides lost data this covers a missing frame
+          separator, a chunk the manifest does not declare, a manifest
+          total or per-rank count the chunks do not match, and an event
+          on an undeclared communicator. *)
 }
 
 type unrecoverable = {
@@ -81,11 +93,8 @@ type outcome = (Trace.t * report, unrecoverable) result
 
 val read : string -> outcome
 (** Tolerant parse of a framed file.  Never raises; input without the
-    magic line, or with no usable rank count or rank stream, is
-    [Error].  A rank count (from the header, the timing manifest or the
-    highest rank-frame index) larger than the text's byte length is
-    damage, so a checksum-valid but absurd header cannot make the
-    reader allocate per-rank state for it. *)
+    magic line (including every earlier format version), with no usable
+    rank count, or with damage and no chunk to load, is [Error]. *)
 
 val is_degraded : report -> bool
 (** True when the report records any damage, i.e. exactly when

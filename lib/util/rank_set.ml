@@ -27,22 +27,63 @@ let range ?(stride = 1) first last =
 
 let all n = if n <= 0 then empty else range 0 (n - 1)
 
-(* Merge an ascending, duplicate-free list of ranks into strided intervals
-   greedily: extend the current run while the stride is constant. *)
+(* Building from ascending input: extend the open run while the stride
+   is constant (greedily, so every set has one canonical form).  The
+   builder holds the closed intervals, newest first, and the open run
+   [run_first, run_first+step, ..., prev]; [step = 0] while the run holds one
+   rank. *)
+type builder = {
+  mutable closed : interval list;
+  mutable started : bool;
+  mutable run_first : int;
+  mutable prev : int;
+  mutable step : int;
+}
+
+let builder () = { closed = []; started = false; run_first = 0; prev = 0; step = 0 }
+
+let close b =
+  if b.run_first = b.prev then { first = b.run_first; last = b.run_first; stride = 1 }
+  else { first = b.run_first; last = b.prev; stride = b.step }
+
+let push_rank b r =
+  if not b.started then (
+    b.started <- true;
+    b.run_first <- r;
+    b.prev <- r)
+  else if r <= b.prev then invalid_arg "Rank_set.push: ranks not ascending"
+  else if b.step = 0 then (
+    b.step <- r - b.prev;
+    b.prev <- r)
+  else if r - b.prev = b.step then b.prev <- r
+  else (
+    b.closed <- close b :: b.closed;
+    b.run_first <- r;
+    b.prev <- r;
+    b.step <- 0)
+
+(* Once three ranks of a progression are pushed the open run has its
+   stride (the second may close a run of another stride, the third then
+   fixes the new one), so the rest extends it in O(1). *)
+let push b (first, last, stride) =
+  if stride <= 0 || last < first then invalid_arg "Rank_set.push: bad interval";
+  let n = ((last - first) / stride) + 1 in
+  for k = 0 to min n 3 - 1 do
+    push_rank b (first + (k * stride))
+  done;
+  if n > 3 then b.prev <- first + ((n - 1) * stride)
+
+let build b = List.rev (if b.started then close b :: b.closed else b.closed)
+
+let of_intervals ivs =
+  let b = builder () in
+  List.iter (push b) ivs;
+  build b
+
 let of_sorted_ranks ranks =
-  let close first prev stride acc =
-    if first = prev then { first; last = prev; stride = 1 } :: acc
-    else { first; last = prev; stride } :: acc
-  in
-  let rec go acc first prev stride = function
-    | [] -> List.rev (close first prev stride acc)
-    | r :: rest ->
-        if stride = 0 then go acc first r (r - prev) rest
-        else if r - prev = stride then go acc first r stride rest
-        else if first = prev then go acc first r (r - prev) rest
-        else go (close first prev stride acc) r r 0 rest
-  in
-  match ranks with [] -> [] | r :: rest -> go [] r r 0 rest
+  let b = builder () in
+  List.iter (push_rank b) ranks;
+  build b
 
 let to_list t =
   List.concat_map

@@ -22,6 +22,28 @@ val range : ?stride:int -> int -> int -> t
 val all : int -> t
 
 val of_list : int list -> t
+
+(** {1 Building from ascending intervals}
+
+    These build a set in time and space linear in the number of
+    intervals given, never in the number of ranks they cover. *)
+
+type builder
+
+val builder : unit -> builder
+
+(** [push b (first, last, stride)] adds [first, first+stride, ..., <= last].
+    @raise Invalid_argument if [stride <= 0], [last < first], or [first]
+    is not past every rank pushed before. *)
+val push : builder -> int * int * int -> unit
+
+val build : builder -> t
+
+(** [of_intervals ivs] is the set of the ascending intervals [ivs], in
+    canonical form whatever their split.
+    @raise Invalid_argument as {!push}. *)
+val of_intervals : (int * int * int) list -> t
+
 val to_list : t -> int list
 
 val mem : int -> t -> bool

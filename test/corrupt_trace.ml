@@ -1,14 +1,16 @@
 (* Deterministic trace-damage helper for the CLI smoke tests:
 
      corrupt_trace <in> <out> truncate     # cut at the last frame boundary
-     corrupt_trace <in> <out> flip         # flip one payload byte
+     corrupt_trace <in> <out> flip         # flip one byte of the last
+                                           # chunk's payload
+     corrupt_trace <in> <out> ablate-chunk # drop the last chunk frame
      corrupt_trace <in> <out> huge-nranks  # header claims 10^11 ranks,
                                            # checksum recomputed
      corrupt_trace <in> <out> bad-separator  # the header frame's
                                              # separating newline overwritten
-     corrupt_trace <in> <out> unknown-comm   # rank 1's first comm=0 event
-                                             # moved to communicator 7,
-                                             # checksum recomputed
+     corrupt_trace <in> <out> unknown-comm   # the last chunk's first comm=0
+                                             # event moved to communicator
+                                             # 7, checksum recomputed
 
    Depends only on util (for the CRC) so the dune rule builds it
    cheaply. *)
@@ -44,6 +46,24 @@ let frame_boundaries bytes =
   in
   go 0 []
 
+(* [(start, stop)] of the last chunk frame: its header line through its
+   separator. *)
+let last_chunk bytes bounds =
+  let prefix = "frame chunk:" in
+  let rec find found = function
+    | h :: (next :: _ as rest) ->
+        find
+          (if String.starts_with ~prefix (String.sub bytes h (next - h)) then
+             Some (h, next)
+           else found)
+          rest
+    | _ -> (
+        match found with
+        | Some span -> span
+        | None -> failwith "corrupt_trace: no chunk frame")
+  in
+  find None bounds
+
 let () =
   match Sys.argv with
   | [| _; input; output; mode |] -> (
@@ -60,16 +80,18 @@ let () =
           in
           write_all output (String.sub bytes 0 cut)
       | "flip" ->
-          (* flip a byte in the middle of the largest frame payload *)
+          (* flip a byte in the middle of the last chunk's payload *)
+          let start, stop = last_chunk bytes bounds in
+          let payload = String.index_from bytes start '\n' + 1 in
+          let pos = (payload + stop - 1) / 2 in
           let b = Bytes.of_string bytes in
-          let pos =
-            match bounds with
-            | _ :: _ :: third :: _ -> third + 40
-            | _ -> Bytes.length b / 2
-          in
-          let pos = min pos (Bytes.length b - 1) in
           Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x20));
           write_all output (Bytes.to_string b)
+      | "ablate-chunk" ->
+          let start, stop = last_chunk bytes bounds in
+          write_all output
+            (String.sub bytes 0 start
+            ^ String.sub bytes stop (String.length bytes - stop))
       | "huge-nranks" ->
           (* the header frame is the first frame: its header line, its
              payload line, then the next frame *)
@@ -98,17 +120,7 @@ let () =
           Bytes.set b sep 'X';
           write_all output (Bytes.to_string b)
       | "unknown-comm" ->
-          let prefix = "frame rank:1 " in
-          let start, stop =
-            let rec find = function
-              | h :: (next :: _ as rest) ->
-                  if String.starts_with ~prefix (String.sub bytes h (next - h))
-                  then (h, next)
-                  else find rest
-              | _ -> failwith "corrupt_trace: no rank:1 frame"
-            in
-            find bounds
-          in
+          let start, stop = last_chunk bytes bounds in
           let frame = String.sub bytes start (stop - start) in
           let nl = String.index frame '\n' in
           (* payload without the separating newline *)
@@ -125,7 +137,9 @@ let () =
           in
           write_all output
             (String.sub bytes 0 start
-            ^ Printf.sprintf "frame rank:1 %d %s\n%s\n" (String.length payload)
+            ^ Printf.sprintf "frame %s %d %s\n%s\n"
+                (List.nth (String.split_on_char ' ' frame) 1)
+                (String.length payload)
                 (Util.Crc32.to_hex (Util.Crc32.string payload))
                 payload
             ^ String.sub bytes stop (String.length bytes - stop))
@@ -135,5 +149,5 @@ let () =
   | _ ->
       prerr_endline
         "usage: corrupt_trace <in> <out> \
-         truncate|flip|huge-nranks|bad-separator|unknown-comm";
+         truncate|flip|ablate-chunk|huge-nranks|bad-separator|unknown-comm";
       exit 2

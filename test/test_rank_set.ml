@@ -21,6 +21,10 @@ let basics =
     t "all zero" (fun () -> check "all0" [] (Rank_set.to_list (Rank_set.all 0)));
     t "of_list dedups and sorts" (fun () ->
         check "d" [ 1; 2; 9 ] (Rank_set.to_list (Rank_set.of_list [ 9; 1; 2; 1; 9 ])));
+    t "of_intervals rejects descending input" (fun () ->
+        Alcotest.check_raises "order"
+          (Invalid_argument "Rank_set.push: ranks not ascending") (fun () ->
+            ignore (Rank_set.of_intervals [ (4, 8, 2); (0, 3, 1) ])));
     t "of_list finds stride" (fun () ->
         Alcotest.(check int)
           "intervals" 1
@@ -116,6 +120,22 @@ let props =
               (Rank_set.intervals s)
           in
           Rank_set.equal s (Rank_set.of_list rebuilt));
+      QCheck.Test.make ~name:"of_intervals rebuilds the canonical set" ~count:200
+        (QCheck.pair gen_set QCheck.small_int) (fun (s, k) ->
+          (* the set's own intervals, and the same ranks split into
+             ascending runs of at most [k + 1] *)
+          let rec runs acc = function
+            | [] -> List.rev acc
+            | r :: rest ->
+                let rec take n prev = function
+                  | r' :: rest when n > 0 && r' = prev + 1 -> take (n - 1) r' rest
+                  | rest -> (prev, rest)
+                in
+                let last, rest = take (k mod 4) r rest in
+                runs ((r, last, 1) :: acc) rest
+          in
+          Rank_set.equal s (Rank_set.of_intervals (Rank_set.intervals s))
+          && Rank_set.equal s (Rank_set.of_intervals (runs [] (Rank_set.to_list s))));
     ]
 
 let suite = basics @ set_ops @ props

@@ -1,5 +1,5 @@
-(* The resilient-ingestion layer: framed (v2) round trips, golden frame
-   headers, the salvage loader, degraded-mode generation, and the
+(* The resilient-ingestion layer: framed round trips, the golden frame
+   layout, the salvage loader, degraded-mode generation, and the
    corruption-fuzz contract. *)
 
 open Scalatrace
@@ -39,7 +39,8 @@ let app_trace ?(nranks = 8) name =
   trace
 
 (* Round trip for one registry app: the framed bytes must reload to a
-   structurally identical trace, and re-saving must be byte-stable. *)
+   structurally identical trace, and re-saving must be byte-stable.  (The
+   test names predate format v3.) *)
 let framed_roundtrip name =
   t (name ^ " framed (v2) round trip is byte-stable") (fun () ->
       let trace = app_trace name in
@@ -73,10 +74,11 @@ let frame_boundaries bytes =
   in
   go 0 []
 
-(* Drop one whole rank frame (header line through the next boundary). *)
-let ablate_rank_frame bytes ~rank =
+(* [(start, stop)] of the [kind] frame: its header line through the next
+   boundary. *)
+let frame_span bytes ~kind =
   let bs = frame_boundaries bytes in
-  let prefix = Printf.sprintf "frame rank:%d " rank in
+  let prefix = Printf.sprintf "frame %s " kind in
   let start =
     List.find
       (fun pos ->
@@ -89,6 +91,11 @@ let ablate_rank_frame bytes ~rank =
     | Some b -> b
     | None -> String.length bytes
   in
+  (start, stop)
+
+(* Drop one whole chunk frame. *)
+let ablate_chunk bytes ~chunk =
+  let start, stop = frame_span bytes ~kind:(Printf.sprintf "chunk:%d" chunk) in
   String.sub bytes 0 start
   ^ String.sub bytes stop (String.length bytes - stop)
 
@@ -104,16 +111,28 @@ let with_temp_file bytes f =
 let frame kind payload =
   Trace_io.frame_header ~kind ~payload ^ "\n" ^ payload ^ "\n"
 
+(* [bytes] with the [kind] frame's payload rewritten by [f] under a
+   recomputed checksum: damage no CRC can see. *)
+let edit_frame bytes ~kind f =
+  let start, stop = frame_span bytes ~kind in
+  let nl = String.index_from bytes start '\n' in
+  let payload = String.sub bytes (nl + 1) (stop - nl - 2) in
+  String.sub bytes 0 start ^ frame kind (f payload)
+  ^ String.sub bytes stop (String.length bytes - stop)
+
 (* [trace]'s framed bytes with the header frame payload replaced by
-   [payload] under a recomputed checksum: damage no CRC can see. *)
+   [payload]. *)
 let with_header trace payload =
-  let bytes = Trace_io.to_framed trace in
-  let magic = "scalatrace-frames 2\n" in
-  let old = magic ^ frame "header" (Printf.sprintf "nranks %d" (Trace.nranks trace)) in
-  Alcotest.(check string) "header frame leads" old
-    (String.sub bytes 0 (String.length old));
-  magic ^ frame "header" payload
-  ^ String.sub bytes (String.length old) (String.length bytes - String.length old)
+  edit_frame (Trace_io.to_framed trace) ~kind:"header" (fun old ->
+      Alcotest.(check string) "header frame"
+        (Printf.sprintf "nranks %d" (Trace.nranks trace)) old;
+      payload)
+
+let replace_first s ~before ~after =
+  let n = String.length before in
+  let rec at i = if String.sub s i n = before then i else at (i + 1) in
+  let i = at 0 in
+  String.sub s 0 i ^ after ^ String.sub s (i + n) (String.length s - i - n)
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -162,24 +181,35 @@ let checksum_valid_tests =
   [
     checksum_valid_damage "bad-separator" ~expect:(fun _ ->
         "line 2: frame header: missing separator");
-    checksum_valid_damage "extra-rank-frame" ~expect:(fun _ ->
-        "line 1: header declares 4 ranks but the file has 5 rank frames");
+    checksum_valid_damage "extra-chunk-frame" ~expect:(fun trace ->
+        let chunks =
+          List.length
+            (List.filter
+               (String.starts_with ~prefix:"frame chunk:")
+               (String.split_on_char '\n' (Trace_io.to_framed trace)))
+        in
+        Printf.sprintf
+          "line 1: timing frame declares %d chunks but the file has chunk %d"
+          chunks chunks);
     checksum_valid_damage "manifest-total" ~expect:(fun trace ->
         let n = Trace.event_count trace in
         Printf.sprintf
           "line 1: event-count manifest mismatch (%d recorded, %d loaded)"
           (n + 1) n);
     checksum_valid_damage "undeclared-comm" ~expect:(fun _ ->
-        "line 2: event on undeclared communicator 1");
+        "line 1: event on undeclared communicator 1");
   ]
 
 (* ------------------------------------------------------------------ *)
 
 let unit_tests =
   [
-    t "golden v2 frame headers" (fun () ->
-        (* Byte-level compatibility contract: magic line, then a header
-           frame whose payload is "nranks 2" with its IEEE CRC32. *)
+    t "golden v3 frame layout" (fun () ->
+        (* Byte-level compatibility contract: magic line; a header frame
+           whose payload is "nranks 2" with its IEEE CRC32; the
+           communicator table; the merged trace in one chunk, rank sets
+           and all; and the manifest with its interval-coded per-rank
+           counts. *)
         let prog (ctx : Mpisim.Mpi.ctx) =
           if ctx.rank = 0 then Mpisim.Mpi.send ctx ~dst:1 ~bytes:64 ~tag:1
           else
@@ -189,15 +219,22 @@ let unit_tests =
           Mpisim.Mpi.finalize ctx
         in
         let trace, _ = Tracer.trace_run ~nranks:2 prog in
-        let bytes = Trace_io.to_framed trace in
-        let expect_prefix =
-          "scalatrace-frames 2\n"
+        let site = "site=\"<unknown>\" 0 0 \"\"" in
+        Alcotest.(check string)
+          "file"
+          ("scalatrace-frames 3\n"
           ^ "frame header 8 d9dd6a18\n" ^ "nranks 2\n"
           ^ "frame comms 12 57d0c0cf\n" ^ "comm 0 0:1:1\n"
-        in
-        Alcotest.(check string)
-          "prefix" expect_prefix
-          (String.sub bytes 0 (String.length expect_prefix));
+          ^ "frame chunk:0 310 e60b7211\n"
+          ^ "event MPI_Recv peer=abs:0 bytes=64 vec=- tag=1 comm=0 ranks=1:1:1 dt=1;0;0;0;0 "
+          ^ site ^ "\n"
+          ^ "event MPI_Send peer=abs:1 bytes=64 vec=- tag=1 comm=0 ranks=0:0:1 dt=1;0;0;0;0 "
+          ^ site ^ "\n"
+          ^ "event MPI_Finalize peer=none bytes=0 vec=- tag=0 comm=0 ranks=0:1:1 dt=2;0;0;0;0 "
+          ^ site ^ "\n"
+          ^ "frame timing 31 057f8d1e\n" ^ "events 4\nchunks 1\ncount 2 0:1:1\n"
+          ^ "frame end 0 00000000\n")
+          (Trace_io.to_framed trace);
         Alcotest.(check string)
           "frame_header helper" "frame header 8 d9dd6a18"
           (Trace_io.frame_header ~kind:"header" ~payload:"nranks 2"));
@@ -215,23 +252,77 @@ let unit_tests =
             Alcotest.(check bool)
               "not degraded" false
               (Trace_io.is_degraded report));
-    t "salvage recovers the surviving ranks of an ablated file" (fun () ->
-        let trace = app_trace "ring" ~nranks:4 in
-        let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:2 in
+    t "salvage recovers the prefix before an ablated chunk" (fun () ->
+        (* cg's chunks: a broadcast and the odd ranks' exchange loop, the
+           even ranks' loop, then the closing collectives *)
+        let trace = app_trace "cg" ~nranks:8 in
+        let damaged = ablate_chunk (Trace_io.to_framed trace) ~chunk:1 in
         match Trace_io.read damaged with
         | Error e -> Alcotest.fail e.reason
         | Ok (trace', report) ->
             Alcotest.(check bool) "degraded" true (Trace_io.is_degraded report);
-            Alcotest.(check (list int)) "rank 2 gone" [ 2 ] report.ranks_missing;
-            Alcotest.(check int) "nranks kept" 4 (Trace.nranks trace');
-            (* the other ranks' streams survive in full *)
+            Alcotest.(check int) "nranks kept" 8 (Trace.nranks trace');
+            let kept = List.length (Trace.nodes trace') in
+            Alcotest.(check bool)
+              "a prefix of the merged trace" true
+              (kept > 0
+              && List.for_all2 Tnode.equiv_ranks (Trace.nodes trace')
+                   (List.filteri (fun i _ -> i < kept) (Trace.nodes trace)));
+            Alcotest.(check (option int))
+              "losses from the manifest"
+              (Some (Trace.event_count trace - Trace.event_count trace'))
+              (Trace_io.events_lost report);
+            Alcotest.(check int) "no rank lost entirely" 0 report.ranks_missing;
             List.iter
-              (fun r ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "rank %d stream intact" r)
-                  true
-                  (seq_sig trace r = seq_sig trace' r))
-              [ 0; 1; 3 ]);
+              (fun (rr : Trace_io.rank_recovery) ->
+                Util.Rank_set.iter
+                  (fun r ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "rank %d recovered" r)
+                      (Tnode.event_count_for (Trace.nodes trace') ~rank:r)
+                      rr.rr_events)
+                  rr.rr_ranks)
+              report.per_rank);
+    t "an unclosed loop in a valid chunk keeps the chunk's well-formed prefix"
+      (fun () ->
+        let trace = app_trace "cg" ~nranks:8 in
+        let damaged =
+          edit_frame (Trace_io.to_framed trace) ~kind:"chunk:0" (fun p ->
+              String.sub p 0 (String.rindex p '\n'))
+        in
+        match Trace_io.read damaged with
+        | Error e -> Alcotest.fail e.reason
+        | Ok (trace', report) ->
+            Alcotest.(check string)
+              "first damage" "line 7: unterminated loop at end of input"
+              (List.hd report.damage);
+            Alcotest.(check int) "the broadcast alone" 1
+              (List.length (Trace.nodes trace'));
+            Alcotest.(check (option int))
+              "every other event lost"
+              (Some (Trace.event_count trace - 8))
+              (Trace_io.events_lost report));
+    t "a per-rank manifest edit that keeps the total is damage" (fun () ->
+        (* cg's 8 ranks all record 43 events; move one event from ranks
+           0-3 to ranks 4-7 (checksum recomputed) *)
+        let trace = app_trace "cg" ~nranks:8 in
+        let damaged =
+          edit_frame (Trace_io.to_framed trace) ~kind:"timing"
+            (replace_first ~before:"count 43 0:7:1"
+               ~after:"count 42 0:3:1\ncount 44 4:7:1")
+        in
+        match Trace_io.read damaged with
+        | Error e -> Alcotest.fail e.reason
+        | Ok (_, report) ->
+            Alcotest.(check (list string))
+              "both groups named"
+              [
+                "line 1: ranks {0-3} event-count manifest mismatch (42 \
+                 recorded, 43 loaded)";
+                "line 1: ranks {4-7} event-count manifest mismatch (44 \
+                 recorded, 43 loaded)";
+              ]
+              report.damage);
     t "strict load rejects a header rank count the frames do not back"
       (fun () ->
         let trace = app_trace "ring" ~nranks:4 in
@@ -264,9 +355,9 @@ let unit_tests =
               [ `Salvage; `Best_effort ]));
     t "salvage refuses when no source gives a plausible rank count" (fun () ->
         let crafted =
-          "scalatrace-frames 2\n"
+          "scalatrace-frames 3\n"
           ^ frame "header" "nranks 100000000000"
-          ^ frame "rank:99999999999" ""
+          ^ frame "chunk:0" ""
           ^ "frame end 0 00000000\n"
         in
         match Trace_io.read crafted with
@@ -275,7 +366,7 @@ let unit_tests =
             Alcotest.failf "salvaged a %d-rank trace" (Trace.nranks trace'));
     t "strict pipeline rejects a damaged file" (fun () ->
         let trace = app_trace "ring" ~nranks:4 in
-        let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:0 in
+        let damaged = ablate_chunk (Trace_io.to_framed trace) ~chunk:0 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Strict path with
             | Error (Benchgen.Pipeline.E_trace_format _) -> ()
@@ -283,10 +374,17 @@ let unit_tests =
             | Ok _ -> Alcotest.fail "strict mode accepted a damaged trace"));
     t "salvage mode refuses a trace whose collectives cannot complete"
       (fun () ->
-        (* cg ends in world collectives; ablating a rank leaves them
-           unfinishable, and `Salvage (no truncation) must say so. *)
+        (* rank 3 edited out of cg's closing allreduce and finalize
+           (checksum recomputed) leaves the allreduce unfinishable, and
+           `Salvage (no truncation) must say so. *)
         let trace = app_trace "cg" ~nranks:8 in
-        let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:3 in
+        let drop_rank_3 =
+          replace_first ~before:"ranks=0:7:1" ~after:"ranks=0:2:1,4:7:1"
+        in
+        let damaged =
+          edit_frame (Trace_io.to_framed trace) ~kind:"chunk:2" (fun p ->
+              drop_rank_3 (drop_rank_3 p))
+        in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Salvage path with
             | Error (Benchgen.Pipeline.E_unrecoverable_trace msg) ->
@@ -297,8 +395,10 @@ let unit_tests =
             | Ok _ -> Alcotest.fail "`Salvage generated from a dead wait"));
     t "best-effort generates a runnable prefix from a damaged trace"
       (fun () ->
+        (* without the even ranks' loop, the odd ranks' sends have no
+           receiver: best-effort cuts back to the broadcast *)
         let trace = app_trace "cg" ~nranks:8 in
-        let damaged = ablate_rank_frame (Trace_io.to_framed trace) ~rank:3 in
+        let damaged = ablate_chunk (Trace_io.to_framed trace) ~chunk:1 in
         with_temp_file damaged (fun path ->
             match run_pipeline ~recovery:`Best_effort path with
             | Error e -> Alcotest.fail (Benchgen.Pipeline.error_to_string e)

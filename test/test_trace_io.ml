@@ -52,7 +52,7 @@ let app_roundtrip name =
 
 (* A framed file assembled frame by frame, for hand-made damage. *)
 let framed frames =
-  "scalatrace-frames 2\n"
+  "scalatrace-frames 3\n"
   ^ String.concat ""
       (List.map
          (fun (kind, payload) ->
@@ -60,14 +60,14 @@ let framed frames =
          frames)
   ^ "frame end 0 00000000\n"
 
-(* A one-rank file whose only rank stream is [stream]. *)
-let one_rank stream =
+(* A one-rank file whose only chunk is [chunk]. *)
+let one_chunk chunk =
   framed
     [
       ("header", "nranks 1");
       ("comms", "comm 0 0:0:1");
-      ("rank:0", stream);
-      ("timing", "events 0\nrank 0 0");
+      ("chunk:0", chunk);
+      ("timing", "events 0\nchunks 1\ncount 0 0:0:1");
     ]
 
 let rejected text =
@@ -96,15 +96,19 @@ let unit_tests =
     t "bad magic rejected" (fun () ->
         Alcotest.(check bool) "raises" true
           (rejected "something else\n" <> None);
-        (* the retired line format is no longer read *)
+        (* the retired line format and v2 container are no longer read *)
         Alcotest.(check bool) "line format" true
-          (rejected "scalatrace-trace 1\nnranks 1\n" <> None));
+          (rejected "scalatrace-trace 1\nnranks 1\n" <> None);
+        Alcotest.(check (option string))
+          "v2 container" (Some "line 1: not a scalatrace trace (bad magic \"scalatrace-frames 2\")")
+          (rejected
+             "scalatrace-frames 2\nframe header 8 d9dd6a18\nnranks 2\nframe end 0 00000000\n"));
     t "unterminated loop rejected" (fun () ->
-        Alcotest.(check bool) "raises" true (rejected (one_rank "loop 5") <> None));
+        Alcotest.(check bool) "raises" true (rejected (one_chunk "loop 5") <> None));
     t "unknown op rejected with line number" (fun () ->
         match
           rejected
-            (one_rank
+            (one_chunk
                "loop 2\n\
                \  event MPI_Bogus peer=none bytes=0 vec=- tag=0 comm=0 \
                 ranks=0:0:1 dt=1;0;0;0;0 site=\"f\" 1 2 \"\"\n\
@@ -112,7 +116,7 @@ let unit_tests =
         with
         | None -> Alcotest.fail "accepted an unknown operation"
         | Some msg ->
-            Alcotest.(check string) "line of the stream" "line 2"
+            Alcotest.(check string) "line of the chunk" "line 2"
               (String.sub msg 0 (min 6 (String.length msg))));
     t "wildcard and map peers survive" (fun () ->
         let s1 = Mpi.site __POS__ and s2 = Mpi.site __POS__ and s3 = Mpi.site __POS__ in
@@ -126,6 +130,72 @@ let unit_tests =
         Alcotest.(check bool) "still wild" true (Trace.has_wildcards trace'));
   ]
 
+(* Loading changes nothing: generating from a saved file gives the
+   in-memory trace's benchmark, byte for byte, and re-saving the loaded
+   trace reproduces the file. *)
+let from_file_is_from_trace (app : Apps.Registry.app) =
+  t (app.name ^ " From_file text equals From_trace at 8 and 64 ranks") (fun () ->
+      List.iter
+        (fun wanted ->
+          let nranks = Apps.Registry.fit_nranks app ~wanted in
+          let trace, _ =
+            Tracer.trace_run ~nranks (app.program ~cls:Apps.Params.W ())
+          in
+          let bytes = Trace_io.to_framed trace in
+          let path = Filename.temp_file "trace" ".stf" in
+          let from_file =
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                Out_channel.with_open_bin path (fun oc ->
+                    Out_channel.output_string oc bytes);
+                match
+                  Pipeline.run { Pipeline.default with name = Some app.name }
+                    (Pipeline.From_file path)
+                with
+                | Ok (a, _) -> a.Pipeline.report.text
+                | Error e -> Alcotest.fail (Pipeline.error_to_string e))
+          in
+          let what = Printf.sprintf "%s at %d ranks" app.name nranks in
+          Alcotest.(check string) (what ^ ": re-saved bytes") bytes
+            (Trace_io.to_framed (Trace_io.of_string bytes));
+          Alcotest.(check string) (what ^ ": benchmark text")
+            (report_of ~name:app.name trace).text from_file)
+        [ 8; 64 ])
+
+let traced_bytes name ~nranks =
+  let app = Option.get (Apps.Registry.find name) in
+  let nranks = Apps.Registry.fit_nranks app ~wanted:nranks in
+  let trace, _ = Tracer.trace_run ~nranks (app.program ~cls:Apps.Params.W ()) in
+  Trace_io.to_framed trace
+
+let size_tests =
+  [
+    t "trace bytes stay flat in the rank count (EP, stencil2d)" (fun () ->
+        (* the file holds the merged trace and an interval-coded manifest,
+           so SPMD codes cost nearly the same bytes at any scale *)
+        List.iter
+          (fun (name, counts) ->
+            let base = String.length (traced_bytes name ~nranks:64) in
+            List.iter
+              (fun nranks ->
+                let n = String.length (traced_bytes name ~nranks) in
+                if abs (n - base) * 20 > base then
+                  Alcotest.failf "%s: %d bytes at %d ranks vs %d at 64 (over 5%%)"
+                    name n nranks base)
+              counts)
+          [ ("ep", [ 256; 1024 ]); ("stencil2d", [ 256 ]) ]);
+    t "a rank count beyond the file's byte length loads strictly" (fun () ->
+        let bytes = traced_bytes "ep" ~nranks:2048 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d bytes < 2048" (String.length bytes))
+          true
+          (String.length bytes < 2048);
+        Alcotest.(check int) "nranks" 2048
+          (Trace.nranks (Trace_io.of_string bytes)));
+  ]
+
 let suite =
   List.map app_roundtrip [ "bt"; "cg"; "ep"; "ft"; "is"; "lu"; "mg"; "sp"; "sweep3d" ]
-  @ unit_tests
+  @ unit_tests @ size_tests
+  @ List.map from_file_is_from_trace Apps.Registry.all
