@@ -95,7 +95,11 @@ let of_call ~world_rank ~time_gap (call : Mpisim.Call.t) =
   let comm = Mpisim.Comm.id call.comm in
   let site = call.site in
   let world_of r = Mpisim.Comm.world_of_local call.comm r in
-  let mk = make ~world_rank ~time_gap ~site ~comm in
+  (* fully applied at every use: a partial application of [make] would
+     allocate a chain of curried closures on every traced call *)
+  let mk ~kind ~peer ~bytes ~vec ~tag =
+    make ~world_rank ~time_gap ~site ~kind ~peer ~bytes ~vec ~tag ~comm
+  in
   (* Neighbor offsets are positions in the declared participant set:
      offset o from participant i reaches participant (i + o) mod q.  A
      rank-relative stencil therefore produces the same [vec] on every
@@ -203,6 +207,18 @@ let same_vec a b =
 
 let same_parts = same_vec
 
+(* [=] on these variants would call the polymorphic compare; both are
+   compared once per window probe and merge candidate. *)
+let same_kind a b =
+  match (a, b) with E_waitall x, E_waitall y -> x = y | _ -> a == b
+
+let same_peer a b =
+  match (a, b) with
+  | P_abs x, P_abs y | P_rel x, P_rel y -> x = y
+  | P_none, P_none | P_any, P_any -> true
+  | P_map x, P_map y -> x = y
+  | _ -> false
+
 (* Wildcardness must survive merging, so P_any only merges with P_any. *)
 let peer_class = function
   | P_any -> `Any
@@ -230,7 +246,7 @@ let hash e =
 let mergeable a b =
   hash a = hash b
   && Util.Callsite.equal a.site b.site
-  && a.kind = b.kind && a.bytes = b.bytes && a.tag = b.tag && a.comm = b.comm
+  && same_kind a.kind b.kind && a.bytes = b.bytes && a.tag = b.tag && a.comm = b.comm
   && same_vec a.vec b.vec
   && same_parts a.parts b.parts
   && peer_class a.peer = peer_class b.peer
@@ -253,13 +269,12 @@ let absorb ~nranks ~into e =
      observations are unique by rank, and re-sorting the growing map on
      every absorb would make merging a p-rank trace O(p^2 log p) per RSD.
      [generalize] normalizes once at the end. *)
-  (match (into.peer, e.peer) with
-  | P_none, P_none | P_any, P_any -> ()
-  | pa, pb when pa = pb -> ()
-  | _ ->
-      let merged = observations e ~nranks @ observations into ~nranks in
-      into.peer <- (if merged = [] then into.peer else P_map merged));
-  into.ranks <- Util.Rank_set.union into.ranks e.ranks
+  if not (same_peer into.peer e.peer) then begin
+    let merged = observations e ~nranks @ observations into ~nranks in
+    if merged <> [] then into.peer <- P_map merged
+  end;
+  let ranks = Util.Rank_set.union into.ranks e.ranks in
+  if ranks != into.ranks then into.ranks <- ranks
 
 let generalize ~nranks e =
   match e.peer with

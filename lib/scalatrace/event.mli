@@ -83,6 +83,9 @@ val hash : t -> int
     {!hash}, so the common non-match case is one integer compare. *)
 val mergeable : t -> t -> bool
 
+(** Peer equality ([=] without the polymorphic compare). *)
+val same_peer : peer -> peer -> bool
+
 (** [absorb ~nranks ~into e] merges [e]'s timing, participants, and peer
     observations into [into].  Differing peers combine into [P_map] form;
     call {!generalize} afterwards to simplify. *)

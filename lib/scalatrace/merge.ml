@@ -7,6 +7,10 @@
    current position.  Both orders are preserved, so the per-rank
    projections of the result equal the inputs.
 
+   Inputs are never mutated; only inserted nodes are copied.  Every node
+   of the global list is such a copy, so [absorb] only ever writes global
+   nodes and only reads the incoming node it merges.
+
    The scan is indexed: the unconsumed global nodes are bucketed by
    structural hash, keyed by position.  [Tnode.equiv a b] implies
    [Tnode.hash a = Tnode.hash b] (the leaf hash covers exactly the fields
@@ -65,7 +69,7 @@ let merge_into_global ~nranks global incoming =
           Tnode.absorb ~nranks ~into:g.(p) n;
           out := g.(p) :: !out;
           cursor := p + 1
-      | None -> out := n :: !out)
+      | None -> out := Tnode.copy n :: !out)
     incoming;
   for i = !cursor to glen - 1 do
     out := g.(i) :: !out
@@ -73,22 +77,10 @@ let merge_into_global ~nranks global incoming =
   List.rev !out
 
 let merge_node_lists ~nranks segments =
-  List.fold_left
-    (fun global seg ->
-      merge_into_global ~nranks global (List.map Tnode.copy seg))
-    [] segments
+  List.fold_left (merge_into_global ~nranks) [] segments
 
 let merge ~nranks ~comms locals =
-  (* absorb mutates the nodes it merges, so each rank is deep-copied just
-     before it is folded in — peak extra memory is one rank's working copy
-     (plus whatever the copy contributed to the global), not a second copy
-     of the whole per-rank trace array. *)
-  let global =
-    Array.fold_left
-      (fun global local ->
-        merge_into_global ~nranks global (List.map Tnode.copy local))
-      [] locals
-  in
+  let global = Array.fold_left (merge_into_global ~nranks) [] locals in
   let global = Tnode.map_leaves (fun e -> Event.generalize ~nranks e; e) global in
   (* A final compression pass can fold rank-uniform structure that only
      becomes foldable after merging. *)

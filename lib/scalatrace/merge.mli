@@ -8,7 +8,8 @@
     forms afterwards.  The alignment preserves each rank's event order —
     the property Algorithms 1 and 2 depend on — while keeping the merged
     trace's size proportional to the number of *distinct behaviours*, not
-    to the rank count. *)
+    to the rank count.  Inputs are never mutated; only inserted nodes are
+    copied, so the per-rank traces can be merged again. *)
 
 val lookahead : int
 (** Alignment window: an incoming node is matched only against the next
@@ -24,5 +25,6 @@ val merge :
 
 (** [merge_node_lists ~nranks segments] — the greedy alignment alone:
     merge several (per-rank) node lists into one, unioning compatible
-    nodes.  Inputs are deep-copied; peers are left un-generalized. *)
+    nodes.  Inputs are never mutated; only inserted nodes are copied.
+    Peers are left un-generalized. *)
 val merge_node_lists : nranks:int -> Tnode.t list list -> Tnode.t list

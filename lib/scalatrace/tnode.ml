@@ -1,15 +1,22 @@
 type t = Leaf of Event.t | Loop of loop
 and loop = { count : int; body : t list; l_len : int; l_hash : int }
 
+(* An integer mix of the two fields equivalence compares first: no tuple,
+   no [caml_hash], on every window probe and merge lookup. *)
 let hash = function
   | Leaf e -> Event.hash e
-  | Loop l -> Hashtbl.hash (l.count, l.l_hash)
+  | Loop l ->
+      let h = (l.l_hash + (l.count * 0x2545F4914F6CDD1D)) * 0x1E3779B97F4A7C15 in
+      h lxor (h lsr 29)
 
+(* l_hash = 17 * 31^len + sum over j of hash(body_j) * 31^j, oldest first:
+   the orientation of {!Compress}'s bottom-up prefix sums. *)
 let loop ~count body =
-  let l_len, l_hash =
-    List.fold_left (fun (n, h) node -> (n + 1, (h * 31) + hash node)) (0, 17) body
+  let rec go n h p = function
+    | [] -> Loop { count; body; l_len = n; l_hash = h + (17 * p) }
+    | node :: rest -> go (n + 1) (h + (hash node * p)) (p * 31) rest
   in
-  Loop { count; body; l_len; l_hash }
+  go 0 0 1 body
 
 let rec equiv_gen leaf_eq a b =
   match (a, b) with
@@ -28,7 +35,7 @@ let equiv_ranks a b =
   let leaf_eq x y =
     Event.mergeable x y
     && Util.Rank_set.equal x.Event.ranks y.Event.ranks
-    && x.Event.peer = y.Event.peer
+    && Event.same_peer x.Event.peer y.Event.peer
   in
   equiv_gen leaf_eq a b
 

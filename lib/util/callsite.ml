@@ -7,7 +7,8 @@ let synthetic name = { file = "<gen>"; line = 0; col = 0; label = name }
 let unknown = { file = "<unknown>"; line = 0; col = 0; label = "" }
 
 let equal a b =
-  a.line = b.line && a.col = b.col && String.equal a.file b.file
+  a == b
+  || a.line = b.line && a.col = b.col && String.equal a.file b.file
   && String.equal a.label b.label
 
 let compare a b =

@@ -177,7 +177,14 @@ let cardinal t = List.fold_left (fun n iv -> n + interval_card iv) 0 t
    through [of_sorted_ranks] or builds the form it would ([append_rank],
    [range], [singleton]) — so set equality is structural equality, O(#intervals)
    instead of O(cardinal). *)
-let equal (a : t) (b : t) = a = b
+let rec equal (a : t) (b : t) =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | x :: xs, y :: ys ->
+      x.first = y.first && x.last = y.last && x.stride = y.stride && equal xs ys
+  | _ -> false
 
 let subset a b = is_empty (diff a b)
 

@@ -9,6 +9,7 @@ let () =
       ("collalg", Test_collalg.suite);
       ("scalatrace", Test_scalatrace.suite);
       ("merge_diff", Test_merge_diff.suite);
+      ("compress_diff", Test_compress_diff.suite);
       ("conceptual", Test_conceptual.suite);
       ("benchgen", Test_benchgen.suite);
       ("pipeline", Test_pipeline.suite);
