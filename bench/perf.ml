@@ -838,10 +838,11 @@ let run ~quick () =
 (* Allocation gate: retained sizes measured with [Obj.reachable_words],
    which depend only on the traced program, never on the clock — so the
    check cannot flake.  A one-sample compute-time summary (what every
-   traced call carries until merging) must stay within 16 words, and the
+   traced call carries until merging) must stay within 8 words, and the
    MG-16 class W per-rank local traces within 1.5x the 41507 words they
    took when the histograms became range-sized; the dense 128-bucket
-   layout took 145 words per summary and 179321 words for those traces. *)
+   layout took 145 words per summary and 179321 words for those traces,
+   the range-sized one 13 words per summary. *)
 let mg16w_local_words = 41507
 
 let allocation_gate () =
@@ -863,12 +864,12 @@ let allocation_gate () =
   let local_words = Obj.reachable_words (Obj.repr (Scalatrace.Tracer.local_traces tr)) in
   let local_limit = mg16w_local_words * 3 / 2 in
   Printf.printf
-    "allocation gate: one-sample dtime %d words (limit 16); mg-16 W local \
+    "allocation gate: one-sample dtime %d words (limit 8); mg-16 W local \
      traces %d words (limit %d)\n%!"
     dtime_words local_words local_limit;
-  if dtime_words > 16 then
+  if dtime_words > 8 then
     failwith
-      (Printf.sprintf "allocation gate: a one-sample dtime takes %d words, over 16"
+      (Printf.sprintf "allocation gate: a one-sample dtime takes %d words, over 8"
          dtime_words);
   if local_words > local_limit then
     failwith

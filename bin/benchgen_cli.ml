@@ -484,20 +484,14 @@ let replay_cmd =
   Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ net_arg $ sim_term)
 
 let generate_cmd =
-  let doc = "Generate a benchmark (coNCePTuaL or C+MPI) from a trace." in
+  let doc = "Generate a coNCePTuaL benchmark from a trace." in
   let out_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the benchmark to $(docv).")
   in
-  let lang_arg =
-    Arg.(
-      value
-      & opt (enum [ ("conceptual", `Conceptual); ("c", `C) ]) `Conceptual
-      & info [ "lang" ] ~docv:"LANG" ~doc:"Target language: conceptual or c.")
-  in
-  let run name wanted cls net out lang coll sim obs =
+  let run name wanted cls net out coll sim obs =
     guarded @@ fun () ->
     let app, nranks = resolve_app name wanted in
     let sink, finish = obs_setup obs in
@@ -520,25 +514,18 @@ let generate_cmd =
     | Ok (artifact, warnings) ->
         warn_all warnings;
         let report = artifact.Pipeline.report in
-        let text =
-          match lang with
-          | `Conceptual -> report.text
-          | `C ->
-              (* the C backend consumes the already-rewritten trace *)
-              Benchgen.Cgen.program ~name artifact.Pipeline.resolved_trace
-        in
         (match out with
         | Some path ->
-            write_file path text;
+            write_file path report.text;
             Printf.printf "wrote %s (%d statements%s%s)\n" path report.statements
               (if report.aligned then "; collectives aligned" else "")
               (if report.resolved then "; wildcards resolved" else "")
-        | None -> print_string text);
+        | None -> print_string report.text);
         finish (Some artifact.Pipeline.metrics)
   in
   Cmd.v (Cmd.info "generate" ~doc)
     Term.(
-      const run $ app_arg $ nranks_arg $ cls_arg $ net_arg $ out_arg $ lang_arg
+      const run $ app_arg $ nranks_arg $ cls_arg $ net_arg $ out_arg
       $ coll_alg_arg $ sim_term $ obs_term)
 
 let run_cmd =

@@ -125,7 +125,8 @@ let members tasks env ~nranks =
     (fun r -> mem tasks env ~rank:r ~nranks)
     (List.init nranks Fun.id)
 
-let tasks_of_rank_set ?(var = "t") ~nranks set =
+let tasks_of_rank_set ~nranks set =
+  let var = "t" in
   if Util.Rank_set.equal set (Util.Rank_set.all nranks) then All (Some var)
   else
     match Util.Rank_set.to_list set with

@@ -111,8 +111,9 @@ val binder : tasks -> string option
 
 (** Express a rank set as a [tasks] value: [All] when it covers
     [0..nranks-1], [Single] for singletons, otherwise a [Group] whose
-    predicate encodes the set's strided intervals. *)
-val tasks_of_rank_set : ?var:string -> nranks:int -> Util.Rank_set.t -> tasks
+    predicate encodes the set's strided intervals.  The binder is
+    always [t]. *)
+val tasks_of_rank_set : nranks:int -> Util.Rank_set.t -> tasks
 
 (** {1 Traversal} *)
 

@@ -3,7 +3,6 @@ module Align = Align
 module Wildcard = Wildcard
 module Collective_map = Collective_map
 module Codegen = Codegen
-module Cgen = Cgen
 module Extrap = Extrap
 module Pipeline = Pipeline
 

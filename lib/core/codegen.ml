@@ -1,23 +1,7 @@
 open Scalatrace
 module A = Conceptual.Ast
 
-type 's generator = {
-  gen_rsd : Event.t -> 's list;
-  gen_loop : count:int -> 's list -> 's list;
-}
-
 exception Codegen_error of string
-
-let walk trace g =
-  let rec gen_nodes nodes = List.concat_map gen_node nodes
-  and gen_node = function
-    | Tnode.Leaf e -> g.gen_rsd e
-    | Tnode.Loop { count; body; _ } -> g.gen_loop ~count (gen_nodes body)
-  in
-  gen_nodes (Trace.nodes trace)
-
-(* ------------------------------------------------------------------ *)
-(* coNCePTuaL generator                                                 *)
 
 (* Group a per-rank peer map into few (task set, peer expression) pairs:
    prefer grouping by relative offset (stencils), fall back to grouping by
@@ -72,7 +56,7 @@ let peer_expr ~nranks tasks_subset form =
       in
       A.Bin (A.Mod, inner, A.Int nranks))
 
-let conceptual ?(compute_floor_usecs = 0.05) trace =
+let program ?name ?(compute_floor_usecs = 0.05) trace =
   let nranks = Trace.nranks trace in
   let tasks_of ranks = A.tasks_of_rank_set ~nranks ranks in
   let members_of (e : Event.t) =
@@ -170,26 +154,24 @@ let conceptual ?(compute_floor_usecs = 0.05) trace =
         ]
     | Collective_map.T_skip -> []
   in
-  {
-    gen_rsd =
-      (fun e ->
-        let comm_part =
-          match e.kind with
-          | Event.E_send | Event.E_isend | Event.E_recv | Event.E_irecv ->
-              p2p_stmts e
-          | Event.E_wait | Event.E_waitall _ -> [ A.Await (tasks_of e.ranks) ]
-          | _ -> coll_stmts e
-        in
-        (* The computation gap precedes the event even when the event
-           itself generates no code (e.g. MPI_Finalize). *)
-        compute_stmts e @ comm_part);
-    gen_loop = (fun ~count body -> [ A.For { count = A.Int count; body } ]);
-  }
-
-let program ?name ?compute_floor_usecs trace =
-  let g = conceptual ?compute_floor_usecs trace in
-  let body = walk trace g in
-  let nranks = Trace.nranks trace in
+  (* one RSD's code; called once per RSD, not per instance *)
+  let gen_rsd (e : Event.t) =
+    let comm_part =
+      match e.kind with
+      | Event.E_send | Event.E_isend | Event.E_recv | Event.E_irecv -> p2p_stmts e
+      | Event.E_wait | Event.E_waitall _ -> [ A.Await (tasks_of e.ranks) ]
+      | _ -> coll_stmts e
+    in
+    (* The computation gap precedes the event even when the event
+       itself generates no code (e.g. MPI_Finalize). *)
+    compute_stmts e @ comm_part
+  in
+  let rec gen_nodes nodes = List.concat_map gen_node nodes
+  and gen_node = function
+    | Tnode.Leaf e -> gen_rsd e
+    | Tnode.Loop { count; body; _ } -> [ A.For { count = A.Int count; body = gen_nodes body } ]
+  in
+  let body = gen_nodes (Trace.nodes trace) in
   let comments =
     [
       Printf.sprintf "benchmark generated from %s"

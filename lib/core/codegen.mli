@@ -1,37 +1,22 @@
-(** Trace-to-code generation framework.
+(** Trace-to-code generation: the coNCePTuaL backend.
 
-    As in the paper, a language-independent walker traverses the (aligned,
-    wildcard-free) trace and calls a pluggable per-RSD/per-PRSD generator;
-    the coNCePTuaL generator is the primary instance, and any other target
-    language can be added by implementing another {!generator}. *)
-
-(** A language-dependent code generator.  ['s] is a statement/fragment. *)
-type 's generator = {
-  gen_rsd : Scalatrace.Event.t -> 's list;
-      (** code for one RSD (called once per RSD, not per instance) *)
-  gen_loop : count:int -> 's list -> 's list;  (** wrap a PRSD body *)
-}
-
-(** [walk trace g] applies [g] over the trace structure. *)
-val walk : Scalatrace.Trace.t -> 's generator -> 's list
+    The generator walks the (aligned, wildcard-free) trace once, emitting
+    code per RSD and a FOR loop per PRSD, as in the paper. *)
 
 exception Codegen_error of string
 (** Raised on events that cannot be expressed: an unresolved wildcard
     (run {!Wildcard} first) or a peerless point-to-point event. *)
 
-(** The coNCePTuaL generator over [walk]: computation gaps become COMPUTE
-    statements, point-to-point RSDs become SEND/RECEIVE with peers grouped
-    into relative or absolute task expressions, collectives go through
-    {!Collective_map}, and communicator-management events vanish (all task
-    sets are absolute, per paper Section 4.2).
+(** [program ?name trace] — the complete generated benchmark: header
+    comments, counter reset, body, final LOG of elapsed time.  Computation
+    gaps become COMPUTE statements of the RSD's mean gap, point-to-point
+    RSDs become SEND/RECEIVE with peers grouped into relative or absolute
+    task expressions, collectives go through {!Collective_map}, and
+    communicator-management events vanish (all task sets are absolute,
+    per paper Section 4.2).
 
     @param compute_floor_usecs gaps shorter than this are dropped
            (default 0.05us — below measurement noise). *)
-val conceptual :
-  ?compute_floor_usecs:float -> Scalatrace.Trace.t -> Conceptual.Ast.stmt generator
-
-(** [program ?name trace] — the complete generated benchmark: header
-    comments, counter reset, body, final LOG of elapsed time. *)
 val program :
   ?name:string -> ?compute_floor_usecs:float -> Scalatrace.Trace.t ->
   Conceptual.Ast.program

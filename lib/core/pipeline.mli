@@ -149,9 +149,8 @@ type artifact = {
   report : report;
   resolved_trace : Scalatrace.Trace.t;
       (** the trace after both rewriting passes — what [report.program]
-          was generated from; downstream consumers (C code generation,
-          extrapolation, replay) start here instead of re-running the
-          passes *)
+          was generated from; downstream consumers (extrapolation,
+          replay) start here instead of re-running the passes *)
   trace_outcome : Mpisim.Engine.outcome option;
       (** the tracing run's outcome ([From_app] only) *)
   metrics : Obs.Metrics.t;

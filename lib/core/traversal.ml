@@ -65,16 +65,11 @@ type rebuild = {
   mutable items : item list; (* reversed emission order *)
 }
 
-let fresh_compressor ~nranks () =
-  (* anchors never enter these segment compressors, so no foldable
-     restriction is needed *)
-  Compress.create ~nranks ()
-
 let rebuild_create ~nranks ~comms =
   {
     nranks;
     comms;
-    per_rank = Array.init nranks (fun _ -> fresh_compressor ~nranks ());
+    per_rank = Array.init nranks (fun _ -> Compress.create ~nranks ());
     items = [];
   }
 
@@ -101,7 +96,7 @@ let emit_group t ~ranks e =
     Util.Rank_set.fold
       (fun rank acc ->
         let seg = Compress.contents t.per_rank.(rank) in
-        t.per_rank.(rank) <- fresh_compressor ~nranks:t.nranks ();
+        t.per_rank.(rank) <- Compress.create ~nranks:t.nranks ();
         if seg = [] then acc else seg :: acc)
       ranks []
   in

@@ -20,7 +20,6 @@
 type t = {
   window : int;
   nranks : int;
-  foldable : Event.t -> bool;
   mutable len : int;
   mutable nodes : Tnode.t array; (* stack slots, index 0 = oldest *)
   mutable pre : int array; (* prefix sums, see above; capacity + 1 *)
@@ -29,14 +28,13 @@ type t = {
   mutable bsig : int array; (* see [set_slot]; meaningful when blen > 0 *)
 }
 
-let create ?(window = 64) ?(foldable = fun _ -> true) ~nranks () =
+let create ?(window = 64) ~nranks () =
   if window < 1 then invalid_arg "Compress.create: window < 1";
   (* arrays are sized on the first push: Array.make needs a witness node,
      and trace-rebuilding passes create many compressors that stay empty *)
   {
     window;
     nranks;
-    foldable;
     len = 0;
     nodes = [||];
     pre = [| 0 |];
@@ -87,14 +85,6 @@ let set_top t i n =
   done;
   set_slot t i n
 
-let rec all_foldable t = function
-  | Tnode.Leaf e -> t.foldable e
-  | Tnode.Loop { body; _ } -> List.for_all (all_foldable t) body
-
-let foldable_slots t lo hi =
-  let rec go k = k >= hi || (all_foldable t t.nodes.(k) && go (k + 1)) in
-  go lo
-
 (* Rule A: the w nodes on top repeat the body of the PRSD at slot
    i = len - 1 - w -> bump its iteration count. *)
 let extend t w =
@@ -106,7 +96,7 @@ let extend t w =
         | [] -> true
         | b :: rest -> Tnode.equiv_ranks b t.nodes.(k) && same (k + 1) rest
       in
-      same (i + 1) body && foldable_slots t (i + 1) n
+      same (i + 1) body
       && begin
            List.iteri
              (fun j into -> Tnode.absorb ~nranks:t.nranks ~into t.nodes.(i + 1 + j))
@@ -125,7 +115,7 @@ let fold t w =
   let rec same k =
     k >= w || (Tnode.equiv_ranks t.nodes.(lo + k) t.nodes.(mid + k) && same (k + 1))
   in
-  same 0 && foldable_slots t lo mid && foldable_slots t mid n
+  same 0
   && begin
        for k = 0 to w - 1 do
          Tnode.absorb ~nranks:t.nranks ~into:t.nodes.(lo + k) t.nodes.(mid + k)
@@ -166,7 +156,7 @@ let contents t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.nodes.(i) :: acc) in
   go (t.len - 1) []
 
-let compress_list ?window ?foldable ~nranks nodes =
-  let t = create ?window ?foldable ~nranks () in
+let compress_list ?window ~nranks nodes =
+  let t = create ?window ~nranks () in
   List.iter (push_node t) nodes;
   contents t

@@ -15,9 +15,7 @@
     line-oriented vocabulary ([loop N] / [event ...] / [end]) that stores
     the full RSD/PRSD structure, rank sets, peers (relative and mapped
     peers as they are), sizes, tags, and the timing summaries
-    (count/sum/min/max/first of each histogram; the bucket detail is
-    dropped, which only affects quantile reconstruction, not the means
-    that drive generation and replay).
+    (all five fields of each {!Util.Histogram}: count/sum/min/max/first).
 
     Loading rebuilds the tree as written; nothing is re-merged.
     [of_string (to_framed t)] yields a trace whose structure, rank sets,

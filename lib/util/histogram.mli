@@ -2,13 +2,11 @@
 
     ScalaTrace does not store one duration per call instance; it compresses
     all durations observed at a call path — across loop iterations and
-    ranks — into a small summary (Ratn et al., ICS'08).  This module
-    provides that summary: exact count/sum/min/max/mean/variance plus a
-    bounded exponential-bucket histogram, and separate tracking of the
-    first sample (the paper notes the first loop iteration usually differs
-    from the rest).  The bucket store is sized to the occupied bucket
-    range, same answers as a dense 128-bucket array: a one-sample summary
-    is 13 words. *)
+    ranks — into a small summary (Ratn et al., ICS'08).  This summary keeps
+    five exact numbers: count, sum, min, max and the first sample (the
+    paper notes the first loop iteration usually differs from the rest).
+    They are what a trace file stores and what the generated benchmark's
+    COMPUTE times (the mean) are made from.  A summary is 6 words. *)
 
 type t
 
@@ -27,41 +25,19 @@ val min_value : t -> float
 val max_value : t -> float
 val mean : t -> float
 
-(** Population variance; 0. when empty. *)
-val variance : t -> float
-
-val stddev : t -> float
-
 (** Value of the first sample added; 0. when empty. *)
 val first_sample : t -> float
 
-(** Mean of all samples except the first; falls back to {!mean} when fewer
-    than two samples were added. *)
-val rest_mean : t -> float
-
-(** [quantile t q] approximates the [q]-quantile (0 <= q <= 1) from the
-    bucketed histogram; exact min/max at the extremes. *)
-val quantile : t -> float -> float
-
-(** [draw t ~u] draws a reconstruction value: the mean of a bucket chosen by
-    uniform deviate [u] in [0,1).  Used when replaying compute time from a
-    trace without storing per-instance values. *)
-val draw : t -> u:float -> float
-
-(** Reconstruct a summary from serialized statistics (count/sum/min/max/
-    first).  Bucket detail is approximated: all mass lands at the mean, so
-    means and extremes are exact but interior quantiles are not. *)
+(** Rebuild a summary from its serialized fields; every field is exact.
+    A [count] of 0 gives an empty summary. *)
 val of_stats :
   count:int -> sum:float -> min:float -> max:float -> first:float -> t
 
 (** Merge the second summary into the first (inter-node trace merging).
-    The merged [first_sample] is the first node's. *)
+    The merged [first_sample] is the first node's.  The two may be the
+    same summary. *)
 val merge_into : t -> t -> unit
 
 val copy : t -> t
-
-(** Multiply all recorded magnitudes by [k >= 0.] (what-if scaling of
-    compute phases, Section 5.4). *)
-val scale : t -> float -> t
 
 val pp : Format.formatter -> t -> unit

@@ -39,18 +39,18 @@ let capture ~nranks program =
   ignore (Mpisim.Mpi.run ~hooks:[ hook ] ~nranks program);
   Array.map List.rev streams
 
-let both ?window ?foldable ~nranks stream =
+let both ?window ~nranks stream =
   let fresh () = List.map Event.copy stream in
-  let r = Reference.Compress.create ?window ?foldable ~nranks () in
+  let r = Reference.Compress.create ?window ~nranks () in
   List.iter (Reference.Compress.push r) (fresh ());
-  let c = Compress.create ?window ?foldable ~nranks () in
+  let c = Compress.create ?window ~nranks () in
   List.iter (Compress.push c) (fresh ());
   (text (Reference.Compress.contents r), text (Compress.contents c))
 
-let check_streams ?window ?foldable ~what ~nranks streams =
+let check_streams ?window ~what ~nranks streams =
   Array.iteri
     (fun rank stream ->
-      let reference, stack = both ?window ?foldable ~nranks stream in
+      let reference, stack = both ?window ~nranks stream in
       Alcotest.(check string) (Printf.sprintf "%s, rank %d" what rank) reference stack)
     streams
 
@@ -74,8 +74,6 @@ let app_tests =
         [ 8; 64 ])
     Apps.Registry.all
 
-let not_collective (e : Event.t) = not (Event.is_collective e.kind)
-
 let gen_tests =
   [
     t "array stack matches list compressor on 500 Gen seeds" (fun () ->
@@ -85,11 +83,8 @@ let gen_tests =
           let streams = capture ~nranks (Check.Gen.to_app prog) in
           List.iter
             (fun window ->
-              List.iter
-                (fun (fname, foldable) ->
-                  check_streams ~window ?foldable ~nranks streams
-                    ~what:(Printf.sprintf "seed %d, window %d, %s" seed window fname))
-                [ ("all foldable", None); ("p2p only", Some not_collective) ])
+              check_streams ~window ~nranks streams
+                ~what:(Printf.sprintf "seed %d, window %d" seed window))
             [ 1; 2; 64 ]
         done);
   ]

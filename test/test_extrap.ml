@@ -193,38 +193,4 @@ let stencil2d_tests =
         Alcotest.(check bool) (Printf.sprintf "err=%.1f%%" err) true (err < 15.));
   ]
 
-let cgen_tests =
-  [
-    t "c backend emits a full translation unit" (fun () ->
-        let trace = trace_at 8 ring in
-        let c = Benchgen.Cgen.program ~name:"ring" trace in
-        List.iter
-          (fun needle ->
-            let found =
-              let n = String.length needle and m = String.length c in
-              let rec go i = i + n <= m && (String.sub c i n = needle || go (i + 1)) in
-              go 0
-            in
-            Alcotest.(check bool) needle true found)
-          [
-            "MPI_Init"; "MPI_Finalize"; "MPI_Irecv"; "MPI_Isend"; "MPI_Waitall";
-            "MPI_Allreduce"; "for (int it = 0; it < 50; it++)"; "spin_for_usecs";
-          ]);
-    t "c backend guards partial-participant operations" (fun () ->
-        let s1 = Mpi.site __POS__ and s2 = Mpi.site __POS__ in
-        let prog (ctx : Mpi.ctx) =
-          (if ctx.rank = 0 then Mpi.send ~site:s1 ctx ~dst:1 ~bytes:8
-           else if ctx.rank = 1 then ignore (Mpi.recv ~site:s2 ctx ~src:(Call.Rank 0) ~bytes:8));
-          Mpi.finalize ~site:s_f ctx
-        in
-        let trace = trace_at 4 prog in
-        let c = Benchgen.Cgen.program trace in
-        let contains needle =
-          let n = String.length needle and m = String.length c in
-          let rec go i = i + n <= m && (String.sub c i n = needle || go (i + 1)) in
-          go 0
-        in
-        Alcotest.(check bool) "rank guard" true (contains "if (rank == 0)"));
-  ]
-
-let suite = fit_tests @ extrap_tests @ stencil2d_tests @ cgen_tests
+let suite = fit_tests @ extrap_tests @ stencil2d_tests

@@ -164,12 +164,6 @@ let replay_tests =
           List.fold_left (fun acc (_, srcs) -> acc + List.length srcs) 0 rep.wildcard_matches
         in
         Alcotest.(check int) "2 matches" 2 total);
-    t "replay respects compute_scale" (fun () ->
-        let ep = Option.get (Apps.Registry.find "ep") in
-        let trace, _ = Scalatrace.Tracer.trace_run ~nranks:4 (ep.program ~cls ()) in
-        let full = (Replay.run trace).outcome.elapsed in
-        let tenth = (Replay.run ~compute_scale:0.1 trace).outcome.elapsed in
-        Alcotest.(check bool) "scaled" true (tenth < 0.2 *. full));
     t "replay recreates subcommunicator collectives" (fun () ->
         let s1 = Mpi.site __POS__ and s2 = Mpi.site __POS__ and s3 = Mpi.site __POS__ in
         let prog (ctx : Mpi.ctx) =

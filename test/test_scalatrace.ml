@@ -179,17 +179,6 @@ let compress_tests =
         done;
         (* body of 3 > window 2: no folding *)
         Alcotest.(check int) "unfolded" 12 (count_rsds (Compress.contents c)));
-    t "foldable predicate blocks folds" (fun () ->
-        let c =
-          Compress.create ~nranks:4
-            ~foldable:(fun e -> Util.Rank_set.cardinal e.Event.ranks = 1)
-            ()
-        in
-        let shared = mk_event () in
-        shared.Event.ranks <- Util.Rank_set.of_list [ 0; 1 ];
-        Compress.push c (Event.copy shared);
-        Compress.push c (Event.copy shared);
-        Alcotest.(check int) "not folded" 2 (count_rsds (Compress.contents c)));
     t "compress_list equivalent to pushes" (fun () ->
         let mk () = List.init 20 (fun _ -> leaf ()) in
         let via_list = Compress.compress_list ~nranks:4 (mk ()) in

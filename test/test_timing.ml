@@ -126,25 +126,4 @@ let golden_tests =
         feq "sum" (0.75 +. 2e-6) e (* finalize on 1 rank: 0 stages *));
   ]
 
-let replay_mode_tests =
-  [
-    t "draw-based replay is deterministic per seed" (fun () ->
-        let app = Option.get (Apps.Registry.find "mg") in
-        let trace, _ =
-          Scalatrace.Tracer.trace_run ~nranks:8 (app.program ~cls:Apps.Params.S ())
-        in
-        let a = (Replay.run ~compute:(Replay.Draw 7) trace).outcome.elapsed in
-        let b = (Replay.run ~compute:(Replay.Draw 7) trace).outcome.elapsed in
-        Alcotest.(check (float 0.)) "same seed" a b);
-    t "draw-based replay stays close to mean-based" (fun () ->
-        let app = Option.get (Apps.Registry.find "ep") in
-        let trace, _ =
-          Scalatrace.Tracer.trace_run ~nranks:4 (app.program ~cls:Apps.Params.S ())
-        in
-        let mean = (Replay.run trace).outcome.elapsed in
-        let draw = (Replay.run ~compute:(Replay.Draw 1) trace).outcome.elapsed in
-        Alcotest.(check bool) "within 25%" true
-          (Float.abs (draw -. mean) /. mean < 0.25));
-  ]
-
-let suite = golden_tests @ replay_mode_tests
+let suite = golden_tests
