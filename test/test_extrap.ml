@@ -193,4 +193,34 @@ let stencil2d_tests =
         Alcotest.(check bool) (Printf.sprintf "err=%.1f%%" err) true (err < 15.));
   ]
 
-let suite = fit_tests @ extrap_tests @ stencil2d_tests
+let contains text needle =
+  let n = String.length needle and m = String.length text in
+  let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
+  go 0
+
+(* The coNCePTuaL generator is the only backend; the generated text must
+   carry the ring's structure and guard operations only some ranks make. *)
+let codegen_tests =
+  [
+    t "generated ring keeps its loop, exchange and reduction" (fun () ->
+        let text = (report_of ~name:"ring" (trace_at 8 ring)).Pipeline.text in
+        List.iter
+          (fun needle -> Alcotest.(check bool) needle true (contains text needle))
+          [
+            "FOR 50 REPETITIONS"; "ASYNCHRONOUSLY RECEIVE A 8192 BYTE MESSAGE FROM TASK ((t - 1) MOD 8)";
+            "ASYNCHRONOUSLY SEND A 8192 BYTE MESSAGE TO TASK ((t + 1) MOD 8)"; "AWAIT COMPLETION";
+            "REDUCE"; "LOGS elapsed_usecs";
+          ]);
+    t "partial-participant operations name only their tasks" (fun () ->
+        let s1 = Mpi.site __POS__ and s2 = Mpi.site __POS__ in
+        let prog (ctx : Mpi.ctx) =
+          (if ctx.rank = 0 then Mpi.send ~site:s1 ctx ~dst:1 ~bytes:8
+           else if ctx.rank = 1 then ignore (Mpi.recv ~site:s2 ctx ~src:(Call.Rank 0) ~bytes:8));
+          Mpi.finalize ~site:s_f ctx
+        in
+        let text = (report_of (trace_at 4 prog)).Pipeline.text in
+        Alcotest.(check bool) "task 0 sends" true (contains text "TASK 0 SENDS");
+        Alcotest.(check bool) "no send by all tasks" false (contains text "ALL TASKS t SEND"));
+  ]
+
+let suite = fit_tests @ extrap_tests @ stencil2d_tests @ codegen_tests

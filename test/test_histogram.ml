@@ -61,6 +61,44 @@ let unit_tests =
         feq "min" 1.0 (Histogram.min_value h);
         feq "max" 5.0 (Histogram.max_value h);
         feq "first" 1.0 (Histogram.first_sample h));
+    t "rejects infinity" (fun () ->
+        let h = Histogram.create () in
+        Alcotest.check_raises "inf"
+          (Invalid_argument "Histogram.add: sample must be finite and non-negative")
+          (fun () -> Histogram.add h Float.infinity));
+    t "zero is a sample" (fun () ->
+        let h = Histogram.create () in
+        Histogram.add h 0.;
+        Histogram.add h 2.0;
+        Alcotest.(check int) "count" 2 (Histogram.count h);
+        feq "min" 0. (Histogram.min_value h);
+        feq "max" 2.0 (Histogram.max_value h);
+        feq "first" 0. (Histogram.first_sample h));
+    t "merging an empty summary changes nothing" (fun () ->
+        let h = Histogram.create () in
+        List.iter (Histogram.add h) [ 3.0; 0.25 ];
+        let before = Histogram.copy h in
+        Histogram.merge_into h (Histogram.create ());
+        Alcotest.(check int) "count" (Histogram.count before) (Histogram.count h);
+        feq "sum" (Histogram.sum before) (Histogram.sum h);
+        feq "min" (Histogram.min_value before) (Histogram.min_value h);
+        feq "max" (Histogram.max_value before) (Histogram.max_value h);
+        feq "first" (Histogram.first_sample before) (Histogram.first_sample h));
+    t "of_stats with no samples is empty" (fun () ->
+        let h = Histogram.of_stats ~count:0 ~sum:5.0 ~min:1.0 ~max:4.0 ~first:2.0 in
+        Alcotest.(check int) "count" 0 (Histogram.count h);
+        feq "sum" 0. (Histogram.sum h);
+        feq "min" 0. (Histogram.min_value h);
+        feq "max" 0. (Histogram.max_value h);
+        Histogram.add h 7.0;
+        feq "first" 7.0 (Histogram.first_sample h);
+        feq "min after add" 7.0 (Histogram.min_value h));
+    t "pp prints count, mean and extremes" (fun () ->
+        let h = Histogram.create () in
+        List.iter (Histogram.add h) [ 1.0; 3.0 ];
+        Alcotest.(check string) "text"
+          "{n=2 mean=2.000e+00s min=1.000e+00s max=3.000e+00s}"
+          (Format.asprintf "%a" Histogram.pp h));
     t "copy independent" (fun () ->
         let h = Histogram.create () in
         Histogram.add h 1.0;

@@ -164,6 +164,13 @@ let replay_tests =
           List.fold_left (fun acc (_, srcs) -> acc + List.length srcs) 0 rep.wildcard_matches
         in
         Alcotest.(check int) "2 matches" 2 total);
+    t "replay of a saved trace matches the in-memory replay" (fun () ->
+        let mg = Option.get (Apps.Registry.find "mg") in
+        let trace, _ = Scalatrace.Tracer.trace_run ~nranks:8 (mg.program ~cls ()) in
+        let loaded = Scalatrace.Trace_io.of_string (Scalatrace.Trace_io.to_framed trace) in
+        let a = (Replay.run trace).outcome and b = (Replay.run loaded).outcome in
+        Alcotest.(check (float 0.)) "elapsed" a.elapsed b.elapsed;
+        Alcotest.(check (array (float 0.))) "per-rank finish" a.finish_times b.finish_times);
     t "replay recreates subcommunicator collectives" (fun () ->
         let s1 = Mpi.site __POS__ and s2 = Mpi.site __POS__ and s3 = Mpi.site __POS__ in
         let prog (ctx : Mpi.ctx) =

@@ -179,6 +179,15 @@ let compress_tests =
         done;
         (* body of 3 > window 2: no folding *)
         Alcotest.(check int) "unfolded" 12 (count_rsds (Compress.contents c)));
+    t "shared collective events fold" (fun () ->
+        let c = Compress.create ~nranks:4 () in
+        let shared = mk_event ~kind:Event.E_allreduce ~peer:Event.P_none () in
+        shared.Event.ranks <- Util.Rank_set.of_list [ 0; 1 ];
+        Compress.push c (Event.copy shared);
+        Compress.push c (Event.copy shared);
+        match Compress.contents c with
+        | [ Tnode.Loop { count = 2; body = [ Tnode.Leaf _ ]; _ } ] -> ()
+        | nodes -> Alcotest.failf "expected a 2x loop, got %d RSDs" (count_rsds nodes));
     t "compress_list equivalent to pushes" (fun () ->
         let mk () = List.init 20 (fun _ -> leaf ()) in
         let via_list = Compress.compress_list ~nranks:4 (mk ()) in

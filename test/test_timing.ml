@@ -126,4 +126,34 @@ let golden_tests =
         feq "sum" (0.75 +. 2e-6) e (* finalize on 1 rank: 0 stages *));
   ]
 
-let suite = golden_tests
+(* Replay re-issues each RSD after the mean of its gap summary, which
+   pools the gaps of every iteration and rank folded into it. *)
+let replay_tests =
+  [
+    t "replay waits the mean gap of each RSD" (fun () ->
+        let s_b = Mpi.site __POS__ and s_f = Mpi.site __POS__ in
+        (* ranks take turns computing 1 ms and 3 ms before each barrier *)
+        let prog (ctx : Mpi.ctx) =
+          for i = 0 to 1 do
+            Mpi.compute ctx (if (ctx.rank + i) mod 2 = 0 then 1e-3 else 3e-3);
+            Mpi.barrier ~site:s_b ctx
+          done;
+          Mpi.finalize ~site:s_f ctx
+        in
+        let trace, orig = Scalatrace.Tracer.trace_run ~net ~nranks:2 prog in
+        let barrier = 2e-6 +. (10e-6 +. 2e-6) in
+        (* the original waits for the slower rank, the replay for the mean *)
+        feq "original" ((2. *. (3e-3 +. barrier)) +. barrier) orig.elapsed;
+        feq "replay" ((2. *. (2e-3 +. barrier)) +. barrier)
+          (Replay.run ~net trace).outcome.elapsed);
+    t "replay is deterministic" (fun () ->
+        let app = Option.get (Apps.Registry.find "mg") in
+        let trace, _ =
+          Scalatrace.Tracer.trace_run ~nranks:8 (app.program ~cls:Apps.Params.S ())
+        in
+        let a = (Replay.run trace).outcome and b = (Replay.run trace).outcome in
+        Alcotest.(check (float 0.)) "elapsed" a.elapsed b.elapsed;
+        Alcotest.(check (array (float 0.))) "per-rank finish" a.finish_times b.finish_times);
+  ]
+
+let suite = golden_tests @ replay_tests

@@ -83,6 +83,26 @@ let unit_tests =
         let direct = report_of ~name:"lu" trace in
         let reloaded = report_of ~name:"lu" (Trace_io.of_string (Trace_io.to_framed trace)) in
         Alcotest.(check string) "same benchmark" direct.text reloaded.text);
+    t "compute summaries survive bit for bit" (fun () ->
+        let mg = Option.get (Apps.Registry.find "mg") in
+        let trace, _ = Tracer.trace_run ~nranks:8 (mg.program ~cls:Apps.Params.S ()) in
+        let summaries t =
+          let out = ref [] in
+          Tnode.iter_leaves
+            (fun e ->
+              let h = e.Event.dtime in
+              out :=
+                List.map Int64.bits_of_float
+                  [ float_of_int (Util.Histogram.count h); Util.Histogram.sum h;
+                    Util.Histogram.min_value h; Util.Histogram.max_value h;
+                    Util.Histogram.first_sample h ]
+                :: !out)
+            (Trace.nodes t);
+          List.rev !out
+        in
+        let loaded = Trace_io.of_string (Trace_io.to_framed trace) in
+        Alcotest.(check (list (list int64))) "count/sum/min/max/first" (summaries trace)
+          (summaries loaded));
     t "save/load through a file" (fun () ->
         let app = Option.get (Apps.Registry.find "ep") in
         let trace, _ = Tracer.trace_run ~nranks:4 (app.program ~cls:Apps.Params.S ()) in
